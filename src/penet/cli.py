@@ -8,7 +8,6 @@ Unknown keys are rejected. Flags override file values.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -83,12 +82,6 @@ def build_train_config(config_path: str | None, overrides: list[str],
     if seed is not None:
         cfg.seed = seed
     return cfg
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    return int(os.environ.get("PENET_THREADS", "1"))
 
 
 def _find_manifest(data_dir: Path, split: str) -> Path:
@@ -216,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="penet", description="point-embedding network toolkit")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default 1, or PENET_THREADS)")
+                        help="ignored, as is PENET_THREADS: penet computes "
+                             "on one thread, and BLAS threads follow "
+                             "OPENBLAS_NUM_THREADS")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model on a manifest dataset")
@@ -266,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _resolve_threads(args)   # threading policy: sequential execution only
     try:
         return args.func(args)
     except (ConfigError, FormatError, OSError, ValueError) as exc:

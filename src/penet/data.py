@@ -33,10 +33,14 @@ class PointCloud:
             raise DataError(f"points must be (N, 3), got {self.points.shape}")
         if len(self.points) == 0:
             raise EmptyCloudError("point cloud must contain at least one point")
+        if not np.isfinite(self.points).all():
+            raise DataError("points must be finite (found nan or inf)")
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=np.float32)
             if self.normals.shape != self.points.shape:
                 raise DataError("normals must match points shape")
+            if not np.isfinite(self.normals).all():
+                raise DataError("normals must be finite (found nan or inf)")
             lengths = np.linalg.norm(self.normals, axis=1)
             if np.any(np.abs(lengths - 1.0) > 1e-3):
                 raise DataError("normals must be unit length (within 1e-3)")
@@ -238,7 +242,8 @@ def load_cloud_text(path) -> PointCloud:
                 raise FormatError(f"{path}:{lineno}: non-numeric token: {exc}")
     if not rows:
         raise EmptyCloudError(f"{path}: no points")
-    arr = np.asarray(rows, dtype=np.float32)
+    with np.errstate(over="ignore"):   # beyond float32 becomes inf: rejected
+        arr = np.asarray(rows, dtype=np.float32)
     normals = arr[:, 3:6] if ncols == 6 else None
 
     part_labels = None

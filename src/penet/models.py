@@ -5,10 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 from .aggregate import GlobalPool
-from .encoder import BatchLayout, Encoder
+from .encoder import Encoder
 from .errors import DimensionError
 from .heads import ClassHead, SegHead, grid_side, reshape_grid
 from .numcore import ParamTensor
+
+
+def _pooled_features(model, points: np.ndarray) -> np.ndarray:
+    """(bs, N, din) -> (bs, k) normalized global features.
+
+    The encoder returns each cloud's mean embedding; GlobalPool then sees a
+    length-1 point axis, whose mean is exact, and min-max normalizes it.
+    """
+    if points.ndim != 3 or points.shape[2] != model.din:
+        raise DimensionError(
+            f"{type(model).__name__.lower()} expects (bs, N, {model.din}), "
+            f"got {points.shape}")
+    return model.pool.forward(model.encoder.forward(points)[:, None, :])
 
 
 class Classifier:
@@ -25,7 +38,6 @@ class Classifier:
         self.pool = GlobalPool()
         self.head = ClassHead(k, num_classes, rng, dtype=dtype)
         self.extra_meta: dict = {}
-        self._layout: BatchLayout | None = None
 
     def params(self) -> list[ParamTensor]:
         return self.encoder.params() + self.head.params()
@@ -39,27 +51,16 @@ class Classifier:
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, num_classes)."""
-        if points.ndim != 3 or points.shape[2] != self.din:
-            raise DimensionError(
-                f"classifier expects (bs, N, {self.din}), got {points.shape}")
-        bs, n, _ = points.shape
-        self._layout = BatchLayout(bs, n)
-        emb = self.encoder.forward(points.reshape(bs * n, self.din))
-        feat = self.pool.forward(emb.reshape(bs, n, self.k))
-        return self.head.forward(reshape_grid(feat))
+        return self.head.forward(reshape_grid(self.global_features(points)))
 
     def global_features(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, k) normalized global features."""
-        bs, n, _ = points.shape
-        emb = self.encoder.forward(points.reshape(bs * n, self.din))
-        return self.pool.forward(emb.reshape(bs, n, self.k))
+        return _pooled_features(self, points)
 
     def backward(self, dlogits: np.ndarray):
-        assert self._layout is not None
-        bs, n = self._layout.bs, self._layout.n_points
         dgrid = self.head.backward(dlogits)
-        dfeat = self.pool.backward(dgrid.reshape(bs, self.k))
-        self.encoder.backward(dfeat.reshape(bs * n, self.k))
+        dfeat = self.pool.backward(dgrid.reshape(-1, self.k))
+        self.encoder.backward(dfeat[:, 0])
 
     def metadata(self) -> dict:
         return {
@@ -96,7 +97,6 @@ class Segmenter:
         self.pool = GlobalPool()
         self.head = SegHead(k, self.LOCAL_DIM, num_parts, rng, dtype=dtype)
         self.extra_meta: dict = {}
-        self._layout: BatchLayout | None = None
 
     def params(self) -> list[ParamTensor]:
         return self.encoder.params() + self.head.params()
@@ -110,24 +110,17 @@ class Segmenter:
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, N, num_parts)."""
-        if points.ndim != 3 or points.shape[2] != self.din:
-            raise DimensionError(
-                f"segmenter expects (bs, N, {self.din}), got {points.shape}")
-        bs, n, _ = points.shape
-        self._layout = BatchLayout(bs, n)
-        emb = self.encoder.forward(points.reshape(bs * n, self.din))
-        feat = self.pool.forward(emb.reshape(bs, n, self.k))
-        local = self.encoder.hidden(self.LOCAL_LAYER).reshape(bs, n, self.LOCAL_DIM)
+        feat = _pooled_features(self, points)
+        local = self.encoder.hidden(self.LOCAL_LAYER).reshape(
+            *points.shape[:2], self.LOCAL_DIM)
         return self.head.forward(local, feat)
 
     def backward(self, dlogits: np.ndarray):
-        assert self._layout is not None
-        bs, n = self._layout.bs, self._layout.n_points
         d_local, d_global = self.head.backward(dlogits)
         dfeat = self.pool.backward(d_global)
         self.encoder.backward(
-            dfeat.reshape(bs * n, self.k),
-            hidden_grads={self.LOCAL_LAYER: d_local.reshape(bs * n, self.LOCAL_DIM)})
+            dfeat[:, 0],
+            hidden_grads={self.LOCAL_LAYER: d_local.reshape(-1, self.LOCAL_DIM)})
 
     def metadata(self) -> dict:
         return {

@@ -89,6 +89,20 @@ def _read(f, n, what):
     return buf
 
 
+def _meta_ints(meta: dict, *keys: str) -> list[int]:
+    """The named integer fields of checkpoint metadata, or FormatError."""
+    values = []
+    for key in keys:
+        if key not in meta:
+            raise FormatError(f"checkpoint metadata lacks {key!r}")
+        value = meta[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise FormatError(
+                f"checkpoint metadata {key!r} is {value!r}, not an integer")
+        values.append(value)
+    return values
+
+
 def load_checkpoint(path):
     """Rebuild a model purely from the file's metadata and arrays."""
     with open(path, "rb") as f:
@@ -112,15 +126,18 @@ def load_checkpoint(path):
                 _read(f, n_bytes, f"{name} payload"),
                 dtype="<f4").reshape(shape).copy()
 
+    if not isinstance(meta, dict):
+        raise FormatError("checkpoint metadata is not a JSON object")
     task = meta.get("task")
     if task == "classify":
-        model = Classifier(meta["din"], meta["num_classes"], k=meta["k"],
-                           depth=meta["encoder_depth"])
+        model_cls, n_out_key = Classifier, "num_classes"
     elif task == "segment":
-        model = Segmenter(meta["din"], meta["num_parts"], k=meta["k"],
-                          depth=meta["encoder_depth"])
+        model_cls, n_out_key = Segmenter, "num_parts"
     else:
         raise FormatError(f"unknown task {task!r} in checkpoint metadata")
+    din, n_out, k, depth = _meta_ints(meta, "din", n_out_key, "k",
+                                      "encoder_depth")
+    model = model_cls(din, n_out, k=k, depth=depth)
     model.loaded_meta = meta
     core = {"task", "din", "k", "g", "encoder_depth", "num_classes", "num_parts"}
     model.extra_meta = {key: val for key, val in meta.items() if key not in core}
@@ -271,14 +288,13 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
 
 def _infer_batches(model, clouds: list[PointCloud], n_points: int,
                    batch_size: int = 32):
-    cache: dict = {}
     for b0 in range(0, len(clouds), batch_size):
         batch = clouds[b0:b0 + batch_size]
         for c in batch:
             if n_points > len(c):
                 raise SamplingError(
                     f"cannot sample {n_points} points from a cloud of {len(c)}")
-        prepared = [_prepare_cloud(c, n_points, cache) for c in batch]
+        prepared = [_prepare_cloud(c, n_points) for c in batch]
         yield batch, model.forward(_stack_features(prepared))
 
 
@@ -340,9 +356,8 @@ def evaluate_segmentation(model, clouds: list[PointCloud], n_points: int,
     all_scores = []
     correct = 0
     total = 0
-    cache: dict = {}
     for cloud in clouds:
-        prepared = _prepare_cloud(cloud, n_points, cache)
+        prepared = _prepare_cloud(cloud, n_points)
         parts = parts_by_category.get(cloud.class_label)
         if parts is None or any(l not in parts for l in
                                 np.unique(prepared.part_labels)):

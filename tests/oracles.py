@@ -104,3 +104,28 @@ def naive_miou(gt, pred, parts):
 def rel_err(a, b):
     denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / denom)
+
+
+def unpooled_pass(model, x, dlogits):
+    """A Classifier's or Segmenter's forward and backward in the per-point
+    order: embed every point with the 2-D encoder path, mean-pool the
+    (bs, N, k) embeddings with GlobalPool, run the head, and backprop the
+    same chain. Returns (logits, {param name: grad}); leaves grads set."""
+    bs, n, din = x.shape
+    enc = model.encoder
+    model.zero_grads()
+    emb = enc.forward(x.reshape(bs * n, din))
+    feat = model.pool.forward(emb.reshape(bs, n, model.k))
+    if model.task == "classify":
+        g = int(round(model.k ** 0.5))
+        logits = model.head.forward(feat.reshape(bs, 1, g, g))
+        dfeat = model.head.backward(dlogits).reshape(bs, model.k)
+        hidden_grads = None
+    else:
+        width = enc.hidden(1).shape[1]
+        logits = model.head.forward(enc.hidden(1).reshape(bs, n, width), feat)
+        d_local, dfeat = model.head.backward(dlogits)
+        hidden_grads = {1: d_local.reshape(bs * n, width)}
+    demb = model.pool.backward(dfeat)
+    enc.backward(demb.reshape(bs * n, model.k), hidden_grads=hidden_grads)
+    return logits.copy(), {p.name: p.grad.copy() for p in model.params()}

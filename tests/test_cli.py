@@ -137,6 +137,33 @@ def test_embed_din_mismatch(trained_ckpt, tmp_path, capsys):
                  "--cloud", str(xyz_only)]) == 1
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_embed_checkpoint_missing_metadata_key(trained_ckpt, synth_dir,
+                                              tmp_path, capsys):
+    from penet.train import load_checkpoint, save_checkpoint
+    model = load_checkpoint(trained_ckpt)
+    meta = {k: v for k, v in model.metadata().items() if k != "din"}
+    model.metadata = lambda: meta
+    bad = tmp_path / "nodin.ckpt"
+    save_checkpoint(model, bad)
+    cloud = next(p for p in synth_dir.iterdir() if p.suffix == ".txt")
+    assert main(["embed", "--ckpt", str(bad), "--cloud", str(cloud)]) == 1
+    assert "'din'" in _one_line_error(capsys)
+
+
+def test_embed_non_finite_cloud(trained_ckpt, tmp_path, capsys):
+    cloud = tmp_path / "nan.txt"
+    cloud.write_text("0 0 0 0 0 1\n1 0 0 nan 0 0\n")
+    assert main(["embed", "--ckpt", str(trained_ckpt),
+                 "--cloud", str(cloud)]) == 1
+    assert "finite" in _one_line_error(capsys)
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--depth", "3", "--k", "16"]) == 0
     assert "PASS" in capsys.readouterr().out

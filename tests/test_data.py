@@ -247,6 +247,19 @@ def test_load_cloud_text_non_numeric(tmp_path):
         load_cloud_text(path)
 
 
+@pytest.mark.parametrize("text", [
+    "0 0 0\nnan 1 0\n",
+    "0 0 0\n1 -inf 0\n",
+    "0 0 0\n1 0 1e39\n",                    # overflows float32
+    "0 0 0 0 0 1\n1 0 0 nan 0 0\n",         # passes the unit-length test
+])
+def test_load_cloud_text_rejects_non_finite(tmp_path, text):
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match="finite"):
+        load_cloud_text(path)
+
+
 def test_seg_sidecar_roundtrip(tmp_path):
     cloud = PointCloud(np.random.default_rng(0).normal(size=(5, 3)),
                        part_labels=[0, 1, 2, 1, 0])

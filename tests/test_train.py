@@ -161,6 +161,27 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["din", "k", "encoder_depth", "num_classes"])
+def test_checkpoint_missing_metadata_key(tmp_path, key):
+    model = Classifier(din=3, num_classes=2, k=64, depth=3)
+    meta = {k: v for k, v in model.metadata().items() if k != key}
+    model.metadata = lambda: meta
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    with pytest.raises(FormatError, match=repr(key)):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+@pytest.mark.parametrize("meta", [[1, 2], {"task": "segment", "din": 6,
+                                           "num_parts": "3", "k": 64,
+                                           "encoder_depth": 3}])
+def test_checkpoint_malformed_metadata(tmp_path, meta):
+    model = Segmenter(din=6, num_parts=3, k=64, depth=3)
+    model.metadata = lambda: meta
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    with pytest.raises(FormatError, match="metadata"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
 def test_checkpoint_segmenter_roundtrip(tmp_path):
     model = Segmenter(din=6, num_parts=5, k=64, depth=3, seed=4)
     save_checkpoint(model, tmp_path / "s.ckpt")
