@@ -216,9 +216,28 @@ def sample_seed(global_seed: int, epoch: int, sample_index: int) -> int:
 # Text cloud format
 
 
-def load_cloud_text(path) -> PointCloud:
-    """One point per line: "x y z" or "x y z nx ny nz". A sidecar
-    ``<path>.seg`` with one integer per line supplies part labels."""
+def _read_part_labels(seg_path, n_points: int) -> np.ndarray:
+    """One integer part label per line, one line per point."""
+    labels = []
+    with open(seg_path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            for tok in line.split():
+                try:
+                    labels.append(int(tok))
+                except ValueError:
+                    raise FormatError(
+                        f"{seg_path}:{lineno}: part label {tok!r} is not an "
+                        f"integer")
+    if len(labels) != n_points:
+        raise FormatError(
+            f"{seg_path}: {len(labels)} labels for {n_points} points")
+    return np.asarray(labels, dtype=np.int64)
+
+
+def load_cloud_text(path, seg_path=None) -> PointCloud:
+    """One point per line: "x y z" or "x y z nx ny nz". Part labels come
+    from ``seg_path`` if given, else from a ``<path>.seg`` sidecar if one
+    exists."""
     path = Path(path)
     rows = []
     ncols = None
@@ -247,13 +266,11 @@ def load_cloud_text(path) -> PointCloud:
     normals = arr[:, 3:6] if ncols == 6 else None
 
     part_labels = None
-    seg_path = path.with_suffix(path.suffix + ".seg")
-    if seg_path.exists():
-        labels = [int(t) for t in seg_path.read_text(encoding="utf-8").split()]
-        if len(labels) != len(arr):
-            raise FormatError(
-                f"{seg_path}: {len(labels)} labels for {len(arr)} points")
-        part_labels = np.asarray(labels, dtype=np.int64)
+    if seg_path is None:
+        sidecar = path.with_suffix(path.suffix + ".seg")
+        seg_path = sidecar if sidecar.exists() else None
+    if seg_path is not None:
+        part_labels = _read_part_labels(seg_path, len(arr))
     return PointCloud(arr[:, :3], normals=normals, part_labels=part_labels)
 
 
@@ -301,9 +318,13 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def load_dataset(manifest: DatasetManifest) -> list[PointCloud]:
+    """Every manifest entry's cloud; part labels come from the entry's seg
+    column when it has one, else from the cloud's ``.seg`` sidecar."""
     clouds = []
-    for rel, class_id, _seg in manifest.entries:
-        cloud = load_cloud_text(manifest.root / rel)
+    for rel, class_id, seg in manifest.entries:
+        path = manifest.root / rel
+        cloud = load_cloud_text(path) if seg is None else \
+            load_cloud_text(path, manifest.root / seg)
         cloud.class_label = class_id
         clouds.append(cloud)
     return clouds

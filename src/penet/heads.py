@@ -2,8 +2,11 @@
 
 Classification reshapes the k-dim global feature into a g x g grid
 (g = sqrt(k), 32 for the default k=1024) and runs a small 2D CNN over it.
-Segmentation concatenates the cloud's global feature with each point's
-128-wide intermediate encoder feature and applies a shared per-point MLP.
+Segmentation joins the cloud's global feature with each point's 128-wide
+intermediate encoder feature and applies a shared per-point MLP. Its first
+layer never builds that join: since concat(g, l) W = g W[:k] + l W[k:]
+exactly, the weight's global rows are applied once per cloud and the
+result is added to every point's local part.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 import numpy as np
 
 from .errors import DimensionError, EmptyCloudError
-from .numcore import Conv2d, Linear, MaxPool2d, ParamTensor, ReLU
+from .numcore import (Conv2d, Linear, MaxPool2d, ParamTensor, ReLU,
+                       glorot_uniform)
 
 
 def grid_side(k: int) -> int:
@@ -77,15 +81,61 @@ class ClassHead:
         return g
 
 
+class SplitLinear:
+    """concat(global, local) @ w + b with the global feature repeated to
+    every point, computed without the repeat or the concat.
+
+    One (k + local_dim, dout) weight, as for a Linear over the joined
+    feature; its first k rows act on the (bs, k) global feature once per
+    cloud, the rest on the (bs, N, local_dim) local features.
+    """
+
+    def __init__(self, k: int, local_dim: int, dout: int,
+                 rng: np.random.Generator, name: str, dtype=np.float32):
+        din = k + local_dim
+        self.k = k
+        self.w = ParamTensor(f"{name}.w",
+                             glorot_uniform(rng, din, dout, (din, dout), dtype))
+        self.b = ParamTensor(f"{name}.b", np.zeros(dout, dtype=dtype))
+        self._local: np.ndarray | None = None
+        self._glob: np.ndarray | None = None
+
+    def params(self) -> list[ParamTensor]:
+        return [self.w, self.b]
+
+    def forward(self, local: np.ndarray, glob: np.ndarray) -> np.ndarray:
+        """(bs, N, local_dim) + (bs, k) -> (bs, N, dout)."""
+        bs, n, d = local.shape
+        self._local, self._glob = local, glob
+        w = self.w.value
+        per_point = (local.reshape(bs * n, d) @ w[self.k:]).reshape(bs, n, -1)
+        return per_point + (glob @ w[:self.k] + self.b.value)[:, None, :]
+
+    def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bs, N, dout) -> (d_local (bs, N, local_dim), d_global (bs, k))."""
+        if self._local is None:
+            raise RuntimeError("backward called before forward")
+        bs, n, d = self._local.shape
+        w, k = self.w.value, self.k
+        flat = dout.reshape(bs * n, -1)
+        per_cloud = dout.sum(axis=1)
+        self.w.grad[:k] += self._glob.T @ per_cloud
+        self.w.grad[k:] += self._local.reshape(bs * n, d).T @ flat
+        self.b.grad += per_cloud.sum(axis=0)
+        return (flat @ w[k:].T).reshape(bs, n, d), per_cloud @ w[:k].T
+
+
 class SegHead:
-    """Shared per-point MLP over concat(global feature, local feature)."""
+    """Shared per-point MLP over concat(global feature, local feature);
+    the first layer is a SplitLinear, so the concat is never built."""
 
     def __init__(self, k: int, local_dim: int, num_parts: int,
                  rng: np.random.Generator, dtype=np.float32):
         self.k = k
         self.local_dim = local_dim
         self.num_parts = num_parts
-        self.fc1 = Linear(k + local_dim, 256, rng, name="seg.fc1", dtype=dtype)
+        self.fc1 = SplitLinear(k, local_dim, 256, rng, name="seg.fc1",
+                               dtype=dtype)
         self.relu1 = ReLU()
         self.fc2 = Linear(256, 128, rng, name="seg.fc2", dtype=dtype)
         self.relu2 = ReLU()
@@ -105,11 +155,9 @@ class SegHead:
             raise DimensionError(
                 f"seg head wants local ({bs}, N, {self.local_dim}) and global "
                 f"({bs}, {self.k}); got {point_feats.shape}, {global_feat.shape}")
-        fused = np.concatenate(
-            [np.repeat(global_feat[:, None, :], n, axis=1), point_feats],
-            axis=2).reshape(bs * n, self.k + d)
         self._layout = (bs, n)
-        h = self.relu1.forward(self.fc1.forward(fused))
+        h = self.fc1.forward(point_feats, global_feat).reshape(bs * n, -1)
+        h = self.relu1.forward(h)
         h = self.relu2.forward(self.fc2.forward(h))
         return self.fc3.forward(h).reshape(bs, n, self.num_parts)
 
@@ -117,9 +165,6 @@ class SegHead:
         """Returns (d_point_feats (bs, N, local_dim), d_global (bs, k))."""
         bs, n = self._layout
         g = dlogits.reshape(bs * n, self.num_parts)
-        g = self.fc1.backward(self.relu1.backward(
-            self.fc2.backward(self.relu2.backward(self.fc3.backward(g)))))
-        g = g.reshape(bs, n, self.k + self.local_dim)
-        d_global = g[:, :, :self.k].sum(axis=1)
-        d_local = np.ascontiguousarray(g[:, :, self.k:])
-        return d_local, d_global
+        g = self.relu1.backward(
+            self.fc2.backward(self.relu2.backward(self.fc3.backward(g))))
+        return self.fc1.backward(g.reshape(bs, n, -1))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -215,6 +216,8 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
             raise ConfigError("segmentation requires part labels")
         n_out = num_classes if num_classes is not None else \
             int(max(c.part_labels.max() for c in clouds)) + 1
+        if val_clouds and any(c.part_labels is None for c in val_clouds):
+            raise ConfigError("segmentation validation requires part labels")
         model = Segmenter(din, n_out, k=cfg.k, depth=cfg.encoder_depth,
                           seed=cfg.seed)
 
@@ -259,17 +262,23 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
                 dlogits = dflat.reshape(logits.shape)
                 correct += int((predict(flat) == y).sum())
                 total += len(y)
+            if not math.isfinite(loss):
+                raise ConfigError(
+                    f"non-finite loss {loss} at epoch {epoch}, batch "
+                    f"{b0 // cfg.batch_size} (lr {opt.lr:g})")
             model.zero_grads()
             model.backward(dlogits.astype(np.float32))
             opt.step(model.params())
             losses.append(loss)
         train_acc = correct / total
-        if val_clouds:
-            val = evaluate_classification(model, val_clouds, cfg.n_points) \
-                if cfg.task == "classify" else None
-            val_acc = val.instance_accuracy if val else float("nan")
-        else:
+        if not val_clouds:
             val_acc = float("nan")
+        elif cfg.task == "classify":
+            val_acc = evaluate_classification(
+                model, val_clouds, cfg.n_points).instance_accuracy
+        else:       # per-point accuracy
+            val_acc = evaluate_segmentation(
+                model, val_clouds, cfg.n_points).instance_accuracy
         seconds = time.perf_counter() - t0
         log_rows.append((epoch, float(np.mean(losses)), train_acc, val_acc,
                          seconds))

@@ -129,3 +129,35 @@ def unpooled_pass(model, x, dlogits):
     demb = model.pool.backward(dfeat)
     enc.backward(demb.reshape(bs * n, model.k), hidden_grads=hidden_grads)
     return logits.copy(), {p.name: p.grad.copy() for p in model.params()}
+
+
+def concat_seg_head(head, local, glob, dlogits):
+    """SegHead's forward and backward over the literal join: repeat each
+    cloud's global feature to its N points, concatenate the local feature
+    and run dense layers with ReLU on the (bs*N, k + local_dim) matrix.
+    Returns (logits, d_local, d_global, {param name: grad})."""
+    bs, n, d = local.shape
+    k = glob.shape[1]
+    x = np.concatenate([np.repeat(glob[:, None, :], n, axis=1), local],
+                       axis=2).reshape(bs * n, k + d)
+    layers = [head.fc1, head.fc2, head.fc3]
+    inputs, pre = [], []
+    h = x
+    for i, layer in enumerate(layers):
+        inputs.append(h)
+        z = h @ layer.w.value + layer.b.value
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < len(layers) - 1 else z
+    logits = h.reshape(bs, n, -1)
+
+    grads = {}
+    g = dlogits.reshape(bs * n, -1)
+    for i in reversed(range(len(layers))):
+        if i < len(layers) - 1:
+            g = g * (pre[i] > 0)
+        layer = layers[i]
+        grads[layer.w.name] = inputs[i].T @ g
+        grads[layer.b.name] = g.sum(axis=0)
+        g = g @ layer.w.value.T
+    g = g.reshape(bs, n, k + d)
+    return logits, g[:, :, k:], g[:, :, :k].sum(axis=1), grads

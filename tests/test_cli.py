@@ -164,6 +164,15 @@ def test_embed_non_finite_cloud(trained_ckpt, tmp_path, capsys):
     assert "finite" in _one_line_error(capsys)
 
 
+def test_eval_bad_seg_sidecar(trained_ckpt, tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("0 0 0 0 0 1\n1 0 0 0 0 1\n")
+    (tmp_path / "c.txt.seg").write_text("1\nx\n")
+    (tmp_path / "test.manifest").write_text("c.txt\t0\n")
+    assert main(["eval", "--ckpt", str(trained_ckpt),
+                 "--data", str(tmp_path)]) == 1
+    assert "c.txt.seg:2:" in _one_line_error(capsys)
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--depth", "3", "--k", "16"]) == 0
     assert "PASS" in capsys.readouterr().out

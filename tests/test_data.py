@@ -5,7 +5,7 @@ import pytest
 
 from penet.data import (AugmentConfig, PointCloud, SYNTH_CLASSES, augment,
                         farthest_point_sample, load_cloud_text,
-                        load_idx_images, load_manifest, mnist_to_pointcloud,
+                        load_dataset, load_idx_images, load_manifest, mnist_to_pointcloud,
                         sample_seed, save_cloud_text, synth_shapes,
                         zero_mean_normalize)
 from penet.errors import (DataError, EmptyCloudError, FormatError,
@@ -273,6 +273,49 @@ def test_seg_sidecar_wrong_count(tmp_path):
     (tmp_path / "c.txt.seg").write_text("1\n")
     with pytest.raises(FormatError, match="labels"):
         load_cloud_text(tmp_path / "c.txt")
+
+
+def test_seg_sidecar_non_integer_names_file_and_line(tmp_path):
+    (tmp_path / "c.txt").write_text("0 0 0\n1 1 1\n")
+    (tmp_path / "c.txt.seg").write_text("1\nx\n")
+    with pytest.raises(FormatError, match=r"c\.txt\.seg:2: .*'x'"):
+        load_cloud_text(tmp_path / "c.txt")
+
+
+def _labelled_manifest(tmp_path, seg_text):
+    (tmp_path / "b.txt").write_text("0 0 0\n1 1 1\n2 2 2\n")
+    (tmp_path / "b_labels.seg").write_text(seg_text)
+    m = tmp_path / "train.manifest"
+    m.write_text("#classes: a\nb.txt\t0\tb_labels.seg\n")
+    return load_manifest(m)
+
+
+def test_manifest_seg_column_supplies_labels(tmp_path):
+    # the column wins over a sidecar next to the cloud
+    manifest = _labelled_manifest(tmp_path, "2\n0\n1\n")
+    (tmp_path / "b.txt.seg").write_text("0\n0\n0\n")
+    (cloud,) = load_dataset(manifest)
+    assert cloud.part_labels.tolist() == [2, 0, 1]
+    assert cloud.class_label == 0
+
+
+def test_manifest_without_seg_column_uses_sidecar(tmp_path):
+    (tmp_path / "b.txt").write_text("0 0 0\n1 1 1\n")
+    (tmp_path / "b.txt.seg").write_text("1\n0\n")
+    m = tmp_path / "train.manifest"
+    m.write_text("b.txt\t0\n")
+    (cloud,) = load_dataset(load_manifest(m))
+    assert cloud.part_labels.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("seg_text,message", [
+    ("0\n1\n", "2 labels for 3 points"),
+    ("0\n1.5\n2\n", r"b_labels\.seg:2: .*'1\.5'"),
+])
+def test_manifest_seg_column_checked(tmp_path, seg_text, message):
+    manifest = _labelled_manifest(tmp_path, seg_text)
+    with pytest.raises(FormatError, match=message):
+        load_dataset(manifest)
 
 
 def test_manifest_missing_file(tmp_path):

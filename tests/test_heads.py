@@ -6,7 +6,8 @@ from penet.heads import ClassHead, SegHead, grid_side, predict, reshape_grid
 from penet.models import Classifier, Segmenter
 from penet.numcore import softmax_cross_entropy
 
-from oracles import naive_conv2d, naive_linear, naive_maxpool2d
+from oracles import (concat_seg_head, naive_conv2d, naive_linear,
+                     naive_maxpool2d)
 
 
 def test_reshape_grid_row_major():
@@ -71,6 +72,52 @@ def test_seg_head_permutation_equivariant():
     perm = rng.permutation(10)
     out_p = head.forward(local[:, perm], g)
     np.testing.assert_array_equal(out_p[0], out[0][perm])
+
+
+@pytest.mark.parametrize("k", [16, 1024])
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("bs", [1, 3])
+def test_seg_head_matches_concat_reference(bs, n, k):
+    # fc1 applies its global rows once per cloud; the reference repeats
+    # the global feature to every point and multiplies the joined matrix
+    rng = np.random.default_rng(100 * bs + 10 * n + k)
+    head = SegHead(k, 128, 5, rng, dtype=np.float64)
+    for p in head.params():
+        p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
+    local = rng.normal(size=(bs, n, 128))
+    glob = rng.uniform(0, 1, size=(bs, k))
+    dlogits = rng.normal(size=(bs, n, 5))
+
+    ref_logits, ref_dlocal, ref_dglobal, ref_grads = concat_seg_head(
+        head, local, glob, dlogits)
+    for p in head.params():
+        p.zero_grad()
+    logits = head.forward(local, glob)
+    d_local, d_global = head.backward(dlogits)
+
+    np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(d_local, ref_dlocal, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(d_global, ref_dglobal, rtol=0, atol=1e-10)
+    assert d_local.shape == (bs, n, 128) and d_global.shape == (bs, k)
+    for p in head.params():
+        np.testing.assert_allclose(p.grad, ref_grads[p.name], rtol=0,
+                                   atol=1e-10, err_msg=p.name)
+
+
+def test_seg_head_keeps_joined_fc1_weight():
+    # one (k + local_dim, 256) seg.fc1.w, drawn like a Linear over the join
+    from penet.numcore import Linear
+    head = SegHead(16, 8, 6, np.random.default_rng(4))
+    ref = Linear(24, 256, np.random.default_rng(4), name="seg.fc1")
+    assert [p.name for p in head.fc1.params()] == ["seg.fc1.w", "seg.fc1.b"]
+    np.testing.assert_array_equal(head.fc1.w.value, ref.w.value)
+    np.testing.assert_array_equal(head.fc1.b.value, ref.b.value)
+
+
+def test_seg_head_backward_before_forward_raises():
+    head = SegHead(16, 8, 6, np.random.default_rng(0))
+    with pytest.raises(RuntimeError):
+        head.fc1.backward(np.zeros((1, 2, 256)))
 
 
 def test_seg_head_zero_weights():

@@ -3,6 +3,7 @@ import pytest
 
 from penet.errors import DimensionError, EmptyCloudError
 from penet.models import Classifier, Segmenter
+from penet.numcore import grad_check, softmax_cross_entropy
 
 from oracles import unpooled_pass
 
@@ -69,3 +70,34 @@ def test_models_reject_bad_shapes(task):
         model.forward(np.zeros((10, 6)))
     with pytest.raises(EmptyCloudError):
         model.forward(np.zeros((2, 0, 6)))
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_segmenter_grad_check(depth):
+    # inputs near a tied min/max of the pooled feature are excluded, as in
+    # the acceptance gradient check: the normalization has a kink there
+    model = _model("segment", depth, seed=depth)
+    x = None
+    for input_seed in range(100 + depth, 200 + depth):
+        cand = np.random.default_rng(input_seed).uniform(-1, 1, size=(2, 5, 6))
+        pooled = model.encoder.forward(
+            cand.reshape(10, 6)).reshape(2, 5, 64).mean(axis=1)
+        srt = np.sort(pooled, axis=1)
+        if (srt[:, 1] - srt[:, 0] > 1e-3).all() and \
+                (srt[:, -1] - srt[:, -2] > 1e-3).all():
+            x = cand
+            break
+    assert x is not None
+    y = np.random.default_rng(depth).integers(0, 3, size=10)
+
+    def loss_fn():
+        model.zero_grads()
+        logits = model.forward(x)
+        loss, d = softmax_cross_entropy(logits.reshape(10, 3), y)
+        model.backward(d.reshape(logits.shape))
+        return loss
+
+    report = grad_check(loss_fn, model.params(), tol=1e-5, eps=1e-7,
+                        samples_per_param=15, denom_floor=1e-3,
+                        rng=np.random.default_rng(depth))
+    assert report.passed, report

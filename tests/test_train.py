@@ -239,6 +239,29 @@ def test_train_segmentation_smoke():
     assert np.isfinite(log[0][1])
 
 
+def test_train_stops_at_first_non_finite_loss():
+    clouds = make_clouds(8)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ConfigError, match=r"epoch \d+, batch \d+ \(lr 1e\+12\)"):
+        train(clouds, _tiny_cfg(epochs=3, lr=1e12))
+
+
+def test_train_segmentation_validation_accuracy():
+    clouds = make_clouds(4, points_each=16, with_parts=True)
+    val = make_clouds(3, points_each=16, seed=1, with_parts=True)
+    model, log = train(clouds, _tiny_cfg(task="segment"), val_clouds=val)
+    expected = evaluate_segmentation(model, val, 16).instance_accuracy
+    assert log[0][3] == expected
+    assert 0.0 <= expected <= 1.0
+
+
+def test_train_segmentation_validation_needs_part_labels():
+    clouds = make_clouds(4, points_each=16, with_parts=True)
+    val = make_clouds(2, points_each=16, seed=1)
+    with pytest.raises(ConfigError, match="validation"):
+        train(clouds, _tiny_cfg(task="segment"), val_clouds=val)
+
+
 def test_train_writes_log_csv(tmp_path):
     clouds = make_clouds(8)
     log_path = tmp_path / "run.csv"
