@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,8 +24,26 @@ from .train import (TrainConfig, evaluate_classification,
                     evaluate_segmentation, load_checkpoint, save_checkpoint,
                     sweep_point_count, train)
 
-_TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig) if f.name != "augment"}
-_AUG_KEYS = {f.name for f in fields(AugmentConfig)}
+
+def _field_casts(cls, prefix: str = "") -> dict:
+    """Dotted config key -> type, for every field of a config dataclass and
+    of the configs nested in it (augment.jitter_sigma)."""
+    hints = get_type_hints(cls)
+    casts = {}
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            casts.update(_field_casts(hints[f.name], f"{prefix}{f.name}."))
+        else:
+            casts[prefix + f.name] = hints[f.name]
+    return casts
+
+
+def _parse_range(raw: str) -> tuple[float, float]:
+    lo, _, hi = raw.partition(",")
+    return (float(lo), float(hi))
+
+
+_CASTS = {**_field_casts(TrainConfig), "augment.scale_range": _parse_range}
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -42,19 +61,10 @@ def _parse_config_file(path: Path) -> dict[str, str]:
 
 
 def _coerce(key: str, raw: str):
-    casts = {"epochs": int, "batch_size": int, "n_points": int, "k": int,
-             "encoder_depth": int, "lr_step": int, "seed": int,
-             "lr": float, "lr_gamma": float,
-             "task": str, "optimizer": str,
-             "augment.jitter_sigma": float, "augment.jitter_clip": float,
-             "augment.shift_range": float, "augment.seed": int}
-    if key == "augment.scale_range":
-        lo, _, hi = raw.partition(",")
-        return (float(lo), float(hi))
-    if key not in casts:
+    if key not in _CASTS:
         raise ConfigError(f"unknown config key {key!r}")
     try:
-        return casts[key](raw)
+        return _CASTS[key](raw)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}")
 

@@ -4,6 +4,10 @@ Point clouds live in a plain text format (one point per line, 3 or 6
 columns) with an optional ``.seg`` sidecar of per-point part labels, tied
 together by a manifest file. MNIST comes in via the standard IDX binaries
 and is converted to 3D clouds by sampling non-zero pixels.
+
+``farthest_point_sample`` samples one cloud or a whole batch in one call;
+``canonical_start`` gives the start that makes the sample independent of
+the order of a cloud's rows.
 """
 
 from __future__ import annotations
@@ -152,30 +156,88 @@ def mnist_to_pointcloud(image: np.ndarray, n_points: int = 5000,
 # Sampling and normalization
 
 
-def farthest_point_sample(cloud: PointCloud, n: int, start: int = 0
-                          ) -> PointCloud:
+def farthest_point_sample(clouds, n: int, start=0):
     """Greedy FPS: repeatedly take the point farthest from the chosen set.
 
+    ``clouds`` is one PointCloud, which returns one, or a list, which
+    returns a list in the same order. ``start`` is the first index, one for
+    all clouds or one per cloud. A list is sampled in one pass per
+    distinct cloud length, without padding: each length's clouds are
+    stacked as planar (3, bs, T) coordinates, and every greedy step takes
+    one argmax per row of the (bs, T) table of squared distances to the
+    chosen set, then lowers the table in place. Every cloud is checked
+    against ``n`` before any is sampled.
+
     Ties go to the lowest index (argmax convention), so the result is
-    deterministic for a fixed start index.
+    deterministic for a fixed start index. Squared distances are summed
+    as (dx² + dy²) + dz², the float32 order of
+    ``np.sum((pts - pts[i]) ** 2, axis=1)``, so a cloud sampled in a batch
+    picks bit-identical indices to one sampled alone.
     """
-    total = len(cloud)
-    if not 1 <= n <= total:
-        raise SamplingError(f"cannot sample {n} points from a cloud of {total}")
-    pts = cloud.points
-    chosen = np.empty(n, dtype=np.int64)
-    chosen[0] = start
-    min_d2 = np.sum((pts - pts[start]) ** 2, axis=1)
+    if isinstance(clouds, PointCloud):
+        return farthest_point_sample([clouds], n, [start])[0]
+    clouds = list(clouds)
+    for cloud in clouds:
+        if not 1 <= n <= len(cloud):
+            raise SamplingError(
+                f"cannot sample {n} points from a cloud of {len(cloud)}")
+    starts = np.broadcast_to(np.asarray(start, dtype=np.int64), len(clouds))
+    by_length: dict[int, list[int]] = {}
+    for j, cloud in enumerate(clouds):
+        by_length.setdefault(len(cloud), []).append(j)
+    out: list = [None] * len(clouds)
+    for members in by_length.values():
+        planes = np.ascontiguousarray(
+            np.stack([clouds[j].points for j in members]).transpose(2, 0, 1))
+        for j, idx in zip(members, _fps_indices(planes, n, starts[members])):
+            c = clouds[j]
+            out[j] = PointCloud(
+                c.points[idx],
+                normals=None if c.normals is None else c.normals[idx],
+                part_labels=None if c.part_labels is None else
+                c.part_labels[idx],
+                class_label=c.class_label)
+    return out
+
+
+def _fps_indices(planes: np.ndarray, n: int, start: np.ndarray
+                 ) -> np.ndarray:
+    """(bs, n) greedy FPS indices of a planar (3, bs, T) batch, whose x, y
+    and z are each a contiguous (bs, T) plane."""
+    rows = np.arange(planes.shape[1])
+
+    def sq_dist(idx):
+        dx, dy, dz = (p - p[rows, idx, None] for p in planes)
+        dx *= dx
+        dy *= dy
+        dz *= dz
+        dx += dy
+        dx += dz
+        return dx
+
+    chosen = np.empty((planes.shape[1], n), dtype=np.int64)
+    chosen[:, 0] = start
+    min_d2 = sq_dist(start)
     for i in range(1, n):
-        idx = int(np.argmax(min_d2))
-        chosen[i] = idx
-        d2 = np.sum((pts - pts[idx]) ** 2, axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
-    return PointCloud(
-        pts[chosen],
-        normals=None if cloud.normals is None else cloud.normals[chosen],
-        part_labels=None if cloud.part_labels is None else cloud.part_labels[chosen],
-        class_label=cloud.class_label)
+        idx = min_d2.argmax(axis=1)
+        chosen[:, i] = idx
+        np.minimum(min_d2, sq_dist(idx), out=min_d2)
+    return chosen
+
+
+def canonical_start(cloud: PointCloud) -> int:
+    """Index of the lexicographically smallest feature row (x, y, z, then
+    the normal), the lowest index among equal rows.
+
+    Starting FPS here makes the sampled subset, and its order, independent
+    of the order of the rows, up to exact distance ties after the first
+    step, which still go to the lowest index.
+    """
+    rows = np.arange(len(cloud))
+    for col in cloud.features().T:
+        col = col[rows]
+        rows = rows[col == col.min()]
+    return int(rows[0])
 
 
 def zero_mean_normalize(cloud: PointCloud) -> PointCloud:

@@ -1,4 +1,10 @@
-"""Training loops, evaluation metrics and checkpoint persistence."""
+"""Training loops, evaluation metrics and checkpoint persistence.
+
+Training, evaluation and the point-count sweep prepare every batch the
+same way (``_prepare_batch``): one ``farthest_point_sample`` call for the
+clouds that need sampling, each starting at its ``canonical_start``, then
+centering and scaling.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +12,14 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import (AugmentConfig, PointCloud, augment, farthest_point_sample,
-                   sample_seed, zero_mean_normalize)
-from .errors import ConfigError, DataError, FormatError, SamplingError
+from .data import (AugmentConfig, PointCloud, augment, canonical_start,
+                   farthest_point_sample, sample_seed, zero_mean_normalize)
+from .errors import ConfigError, DataError, FormatError
 from .heads import predict
 from .models import Classifier, Segmenter
 from .numcore import Adam, SGD, softmax_cross_entropy
@@ -83,11 +89,21 @@ def save_checkpoint(model, path):
             f.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
-def _read(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"checkpoint truncated while reading {what}")
-    return buf
+def _reader(data: bytes):
+    """take(n, what): a view of the next n bytes of ``data``, checked
+    against the bytes left before anything is read or allocated."""
+    data = memoryview(data)
+    pos = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise FormatError(
+                f"checkpoint truncated while reading {what}: {n} bytes "
+                f"needed, {len(data) - pos} left")
+        pos += n
+        return data[pos - n:pos]
+    return take
 
 
 def _meta_ints(meta: dict, *keys: str) -> list[int]:
@@ -105,27 +121,42 @@ def _meta_ints(meta: dict, *keys: str) -> list[int]:
 
 
 def load_checkpoint(path):
-    """Rebuild a model purely from the file's metadata and arrays."""
-    with open(path, "rb") as f:
-        magic = _read(f, len(CHECKPOINT_MAGIC), "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read(f, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", _read(f, 4, "metadata length"))
-        meta = json.loads(_read(f, meta_len, "metadata").decode("utf-8"))
-        (count,) = struct.unpack("<I", _read(f, 4, "array count"))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", _read(f, 4, "name length"))
-            name = _read(f, nlen, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read(f, 4, f"{name} rank"))
-            shape = struct.unpack(f"<{rank}I", _read(f, 4 * rank, f"{name} dims"))
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * 4
-            arrays[name] = np.frombuffer(
-                _read(f, n_bytes, f"{name} payload"),
-                dtype="<f4").reshape(shape).copy()
+    """Rebuild a model purely from the file's metadata and arrays.
+
+    Every length, rank and array size is checked against the bytes left in
+    the file before it is read, so a corrupt file raises FormatError.
+    """
+    take = _reader(Path(path).read_bytes())
+
+    def u32s(count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count, what))
+
+    magic = bytes(take(len(CHECKPOINT_MAGIC), "magic"))
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad checkpoint magic {magic!r}")
+    (version,) = u32s(1, "version")
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"unsupported checkpoint version {version}")
+    (meta_len,) = u32s(1, "metadata length")
+    raw_meta = take(meta_len, "metadata")
+    try:
+        meta = json.loads(str(raw_meta, "utf-8"))
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON
+        raise FormatError(f"checkpoint metadata is not UTF-8 JSON: {exc}")
+    (count,) = u32s(1, "array count")
+    arrays: dict[str, np.ndarray] = {}
+    for i in range(count):
+        (nlen,) = u32s(1, f"array {i} name length")
+        try:
+            name = str(take(nlen, f"array {i} name"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint array {i} name: {exc}")
+        (rank,) = u32s(1, f"{name} rank")
+        shape = u32s(rank, f"{name} dims")
+        if rank > 32:                   # the smallest limit numpy has had
+            raise FormatError(f"checkpoint array {name!r} has rank {rank}")
+        payload = take(4 * math.prod(shape), f"{name} payload")
+        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
     if not isinstance(meta, dict):
         raise FormatError("checkpoint metadata is not a JSON object")
@@ -138,7 +169,18 @@ def load_checkpoint(path):
         raise FormatError(f"unknown task {task!r} in checkpoint metadata")
     din, n_out, k, depth = _meta_ints(meta, "din", n_out_key, "k",
                                       "encoder_depth")
-    model = model_cls(din, n_out, k=k, depth=depth)
+    # din, n_out and k each size an array of a valid file, so none exceeds
+    # its value count; corrupt metadata cannot build a model far larger
+    # than the file
+    n_values = sum(a.size for a in arrays.values())
+    if not all(1 <= v <= n_values for v in (din, n_out, k)):
+        raise FormatError(
+            f"checkpoint metadata din={din}, {n_out_key}={n_out}, k={k} "
+            f"does not fit the {n_values} values in the file")
+    try:
+        model = model_cls(din, n_out, k=k, depth=depth)
+    except ValueError as exc:
+        raise FormatError(f"checkpoint metadata describes no model: {exc}")
     model.loaded_meta = meta
     core = {"task", "din", "k", "g", "encoder_depth", "num_classes", "num_parts"}
     model.extra_meta = {key: val for key, val in meta.items() if key not in core}
@@ -161,22 +203,25 @@ def load_checkpoint(path):
 # Batch assembly
 
 
-def _prepare_cloud(cloud: PointCloud, n_points: int, cache: dict | None = None
-                   ) -> PointCloud:
+def _prepare_batch(clouds: list[PointCloud], n_points: int,
+                   cache: dict | None = None) -> list[PointCloud]:
     """FPS to a fixed size, then center and scale to the unit sphere.
 
-    FPS from a fixed start index is deterministic, so results are cached
-    per (cloud, n) when a cache dict is supplied.
+    Every cloud that needs sampling goes through one farthest_point_sample
+    call, starting at its lexicographically smallest feature row, so the
+    sampled subset does not depend on the order of the rows in its file.
+    That is deterministic, so results are cached per (cloud, n) when a
+    cache dict is supplied; a batch samples only its cache misses.
     """
-    key = (id(cloud), n_points)
-    if cache is not None and key in cache:
-        return cache[key]
-    sampled = cloud if len(cloud) == n_points else \
-        farthest_point_sample(cloud, n_points)
-    prepared = zero_mean_normalize(sampled)
-    if cache is not None:
-        cache[key] = prepared
-    return prepared
+    cache = {} if cache is None else cache
+    misses = {id(c): c for c in clouds if (id(c), n_points) not in cache}
+    to_sample = [c for c in misses.values() if len(c) != n_points]
+    if to_sample:
+        misses.update(zip(map(id, to_sample), farthest_point_sample(
+            to_sample, n_points, [canonical_start(c) for c in to_sample])))
+    for key, cloud in misses.items():
+        cache[key, n_points] = zero_mean_normalize(cloud)
+    return [cache[id(c), n_points] for c in clouds]
 
 
 def _stack_features(clouds: list[PointCloud]) -> np.ndarray:
@@ -193,8 +238,10 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     """Train a model over in-memory clouds; returns (model, log rows).
 
     Each sample per batch: FPS to cfg.n_points, zero-mean normalize, then
-    augment with a seed derived from (cfg.seed, epoch, sample index) so the
-    run is reproducible regardless of iteration order.
+    augment with a copy of cfg.augment whose seed is derived from
+    (cfg.seed, epoch, sample index) so the run is reproducible regardless
+    of iteration order. FPS runs once per batch in the first epoch; later
+    epochs reuse the cached samples.
     """
     if not clouds:
         raise ConfigError("empty training set")
@@ -238,16 +285,10 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
         total = 0
         for b0 in range(0, len(order), cfg.batch_size):
             idxs = order[b0:b0 + cfg.batch_size]
-            batch = []
-            for i in idxs:
-                prepared = _prepare_cloud(clouds[i], cfg.n_points, fps_cache)
-                aug = AugmentConfig(
-                    jitter_sigma=cfg.augment.jitter_sigma,
-                    jitter_clip=cfg.augment.jitter_clip,
-                    shift_range=cfg.augment.shift_range,
-                    scale_range=cfg.augment.scale_range,
-                    seed=sample_seed(cfg.seed, epoch, int(i)))
-                batch.append(augment(prepared, aug))
+            prepared = _prepare_batch([clouds[i] for i in idxs],
+                                      cfg.n_points, fps_cache)
+            batch = [augment(c, replace(cfg.augment, seed=sample_seed(
+                cfg.seed, epoch, int(i)))) for c, i in zip(prepared, idxs)]
             x = _stack_features(batch)
             logits = model.forward(x)
             if cfg.task == "classify":
@@ -297,14 +338,10 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
 
 def _infer_batches(model, clouds: list[PointCloud], n_points: int,
                    batch_size: int = 32):
+    """(prepared clouds, logits) for each batch of up to batch_size."""
     for b0 in range(0, len(clouds), batch_size):
-        batch = clouds[b0:b0 + batch_size]
-        for c in batch:
-            if n_points > len(c):
-                raise SamplingError(
-                    f"cannot sample {n_points} points from a cloud of {len(c)}")
-        prepared = [_prepare_cloud(c, n_points) for c in batch]
-        yield batch, model.forward(_stack_features(prepared))
+        prepared = _prepare_batch(clouds[b0:b0 + batch_size], n_points)
+        yield prepared, model.forward(_stack_features(prepared))
 
 
 def evaluate_classification(model, clouds: list[PointCloud],
@@ -314,9 +351,8 @@ def evaluate_classification(model, clouds: list[PointCloud],
     per_class_total: dict[int, int] = {}
     per_class_correct: dict[int, int] = {}
     correct = 0
-    for batch, logits in _infer_batches(model, clouds, n_test_points):
-        preds = predict(logits)
-        for cloud, pred in zip(batch, preds):
+    for prepared, logits in _infer_batches(model, clouds, n_test_points):
+        for cloud, pred in zip(prepared, predict(logits)):
             y = cloud.class_label
             per_class_total[y] = per_class_total.get(y, 0) + 1
             if pred == y:
@@ -365,22 +401,20 @@ def evaluate_segmentation(model, clouds: list[PointCloud], n_points: int,
     all_scores = []
     correct = 0
     total = 0
-    for cloud in clouds:
-        prepared = _prepare_cloud(cloud, n_points)
-        parts = parts_by_category.get(cloud.class_label)
-        if parts is None or any(l not in parts for l in
-                                np.unique(prepared.part_labels)):
-            raise DataError(
-                f"ground-truth part label outside category "
-                f"{cloud.class_label} part set {parts}")
-        logits = model.forward(_stack_features([prepared]))[0]
-        pred = predict(logits)
-        gt = prepared.part_labels
-        score = shape_miou(gt, pred, parts)
-        shape_scores.setdefault(cloud.class_label, []).append(score)
-        all_scores.append(score)
-        correct += int((pred == gt).sum())
-        total += len(gt)
+    for prepared, logits in _infer_batches(model, clouds, n_points):
+        for cloud, cloud_logits in zip(prepared, logits):
+            parts = parts_by_category.get(cloud.class_label)
+            gt = cloud.part_labels
+            if parts is None or any(l not in parts for l in np.unique(gt)):
+                raise DataError(
+                    f"ground-truth part label outside category "
+                    f"{cloud.class_label} part set {parts}")
+            pred = predict(cloud_logits)
+            score = shape_miou(gt, pred, parts)
+            shape_scores.setdefault(cloud.class_label, []).append(score)
+            all_scores.append(score)
+            correct += int((pred == gt).sum())
+            total += len(gt)
     return MetricsReport(
         instance_accuracy=correct / total,
         class_accuracy=0.0,

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from penet.cli import build_train_config, main
+from penet.data import AugmentConfig
 from penet.errors import ConfigError
+from penet.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +211,41 @@ def test_config_unknown_key_rejected(tmp_path):
 def test_config_scale_range_parse():
     cfg = build_train_config(None, ["augment.scale_range=0.9,1.1"], None)
     assert cfg.augment.scale_range == (0.9, 1.1)
+
+
+_STR_VALUES = {"task": "segment", "optimizer": "sgd"}
+
+
+def _every_config_key():
+    """(dotted key, annotation) of every TrainConfig and AugmentConfig field."""
+    keys = [(f.name, f.type) for f in fields(TrainConfig) if f.name != "augment"]
+    keys += [(f"augment.{f.name}", f.type) for f in fields(AugmentConfig)]
+    return keys
+
+
+@pytest.mark.parametrize("key, annotation", _every_config_key())
+def test_config_every_field_accepted_by_set(key, annotation):
+    raw = {"int": "3", "float": "0.04", "tuple[float, float]": "0.7,1.3",
+           "str": _STR_VALUES.get(key)}[annotation]
+    cfg = build_train_config(None, [f"{key}={raw}"], None)
+    owner, _, name = key.rpartition(".")
+    value = getattr(cfg.augment if owner else cfg, name)
+    expected = {"int": 3, "float": 0.04, "tuple[float, float]": (0.7, 1.3),
+                "str": raw}[annotation]
+    assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("key", ["epocs", "augment.jitter", "augment",
+                                 "augment.scale"])
+def test_config_unknown_set_key_rejected(key):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        build_train_config(None, [f"{key}=1"], None)
+
+
+@pytest.mark.parametrize("item", ["epochs=1.5", "lr=fast",
+                                  "augment.scale_range=0.9",
+                                  "augment.scale_range=low,high"])
+def test_config_unparsable_value_names_its_key(item):
+    key = item.partition("=")[0]
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        build_train_config(None, [item], None)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from penet.data import (AugmentConfig, PointCloud, SYNTH_CLASSES, augment,
-                        farthest_point_sample, load_cloud_text,
+                        canonical_start, farthest_point_sample,
+                        load_cloud_text,
                         load_dataset, load_idx_images, load_manifest, mnist_to_pointcloud,
                         sample_seed, save_cloud_text, synth_shapes,
                         zero_mean_normalize)
@@ -140,6 +141,113 @@ def test_fps_matches_exhaustive_oracle(seed):
     out = farthest_point_sample(cloud, n_keep)
     expected = naive_fps(pts.astype(np.float64), n_keep)
     np.testing.assert_array_equal(out.points, pts[expected])
+
+
+def _loop_fps(pts, n, start):
+    """The per-cloud greedy loop that farthest_point_sample batches."""
+    chosen = [start]
+    min_d2 = np.sum((pts - pts[start]) ** 2, axis=1)
+    for _ in range(1, n):
+        chosen.append(int(np.argmax(min_d2)))
+        np.minimum(min_d2, np.sum((pts - pts[chosen[-1]]) ** 2, axis=1),
+                   out=min_d2)
+    return chosen
+
+
+def _fps_cases(seed):
+    """Ragged clouds: gaussian at scales 1e-3..1e3, integer lattices full
+    of duplicate points and exact distance ties, and a single point."""
+    rng = np.random.default_rng(seed)
+    clouds = [PointCloud(np.zeros((1, 3)))]
+    for i in range(24):
+        total = int(rng.choice([2, 7, 7, 40, 40, 40, 300]))
+        if i % 3 == 0:
+            pts = rng.integers(0, 3, size=(total, 3)).astype(np.float32)
+        else:
+            pts = rng.normal(size=(total, 3)) * 10.0 ** rng.uniform(-3, 3)
+        clouds.append(PointCloud(pts))
+    return clouds
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_fps_batch_matches_per_cloud_loop(seed, n):
+    clouds = [c for c in _fps_cases(seed) if len(c) >= n]
+    starts = [int(np.random.default_rng(i).integers(len(c)))
+              for i, c in enumerate(clouds)]
+    out = farthest_point_sample(clouds, n, starts)
+    assert isinstance(out, list) and len(out) == len(clouds)
+    for cloud, got, start in zip(clouds, out, starts):
+        np.testing.assert_array_equal(
+            got.points, cloud.points[_loop_fps(cloud.points, n, start)])
+
+
+def test_fps_batch_keeps_the_float32_sum_order():
+    # b is a with x and z swapped, so a and b lie at the same distance from
+    # the origin in exact arithmetic; which one FPS takes second depends
+    # only on the order in which float32 adds the squared coordinates
+    rng = np.random.default_rng(0)
+    clouds = []
+    while len(clouds) < 64:
+        a = rng.uniform(0.5, 2.0, size=3).astype(np.float32)
+        pts = np.stack([np.zeros(3, np.float32), a, a[::-1]])
+        d2 = np.sum(pts ** 2, axis=1)
+        if d2[1] != d2[2]:
+            clouds.append(PointCloud(pts))
+    for cloud, got in zip(clouds, farthest_point_sample(clouds, 2)):
+        np.testing.assert_array_equal(
+            got.points, cloud.points[_loop_fps(cloud.points, 2, 0)])
+
+
+def test_fps_batch_n_equals_total():
+    clouds = [c for c in _fps_cases(7) if len(c) == 40]
+    out = farthest_point_sample(clouds, 40)
+    for cloud, got in zip(clouds, out):
+        np.testing.assert_array_equal(
+            got.points, cloud.points[_loop_fps(cloud.points, 40, 0)])
+
+
+def test_fps_batch_carries_normals_labels_and_one_start():
+    rng = np.random.default_rng(3)
+    clouds = []
+    for label, total in enumerate([9, 12, 9]):
+        nrm = rng.normal(size=(total, 3))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        clouds.append(PointCloud(rng.normal(size=(total, 3)), normals=nrm,
+                                 part_labels=np.arange(total),
+                                 class_label=label))
+    for got, cloud in zip(farthest_point_sample(clouds, 5, start=2), clouds):
+        idx = _loop_fps(cloud.points, 5, 2)
+        assert got.part_labels.tolist() == idx
+        np.testing.assert_array_equal(got.normals, cloud.normals[idx])
+        assert got.class_label == cloud.class_label
+
+
+def test_fps_batch_checks_every_cloud_first():
+    clouds = [PointCloud(np.zeros((5, 3))), PointCloud(np.zeros((3, 3)))]
+    with pytest.raises(SamplingError, match="cloud of 3"):
+        farthest_point_sample(clouds, 4)
+    with pytest.raises(SamplingError):
+        farthest_point_sample(clouds, 0)
+    assert farthest_point_sample([], 4) == []
+
+
+def test_canonical_start_is_lexicographic_minimum():
+    pts = np.array([[1, 0, 0], [0, 2, 1], [0, 2, 0], [0, 3, -1], [0, 2, 0.0]])
+    assert canonical_start(PointCloud(pts)) == 2     # lowest of equal rows
+    nrm = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0.0]])
+    same_xyz = PointCloud(np.zeros((3, 3)), normals=nrm)
+    assert canonical_start(same_xyz) == 1            # normals break the tie
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fps_from_canonical_start_ignores_row_order(seed):
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.normal(size=(50, 3)))
+    shuffled = PointCloud(cloud.points[rng.permutation(50)])
+    a, b = (farthest_point_sample(c, 10, canonical_start(c))
+            for c in (cloud, shuffled))
+    np.testing.assert_array_equal(a.points, b.points)
 
 
 # -- normalization / augmentation ----------------------------------------------

@@ -1,7 +1,15 @@
+import importlib
+import json
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from penet.data import PointCloud
+from penet.data import (AugmentConfig, PointCloud, canonical_start,
+                        farthest_point_sample, load_dataset, sample_seed,
+                        synth_shapes)
 from penet.errors import ConfigError, FormatError, SamplingError
 from penet.models import Classifier, Segmenter
 from penet.train import (MetricsReport, TrainConfig, category_parts,
@@ -10,6 +18,9 @@ from penet.train import (MetricsReport, TrainConfig, category_parts,
                          sweep_point_count, train)
 
 from oracles import naive_miou
+
+# the package re-exports train(), which hides the penet.train module
+train_module = importlib.import_module("penet.train")
 
 
 def make_clouds(n, points_each=32, n_classes=2, seed=0, with_parts=False):
@@ -190,6 +201,116 @@ def test_checkpoint_segmenter_roundtrip(tmp_path):
     assert loaded.num_parts == 5
 
 
+def _small_checkpoint(tmp_path) -> bytes:
+    save_checkpoint(Classifier(din=3, num_classes=2, k=16, depth=1, seed=0),
+                    tmp_path / "small.ckpt")
+    return (tmp_path / "small.ckpt").read_bytes()
+
+
+def _first_array_offset(raw: bytes) -> int:
+    """Offset of the first array's name length: past magic, version,
+    metadata and the array count."""
+    (meta_len,) = struct.unpack("<I", raw[10:14])
+    return 14 + meta_len + 4
+
+
+def _put_u32(raw: bytes, offset: int, value: int) -> bytes:
+    return raw[:offset] + struct.pack("<I", value) + raw[offset + 4:]
+
+
+@pytest.mark.parametrize("field, value", [("name length", 0x7FFFFFFF),
+                                          ("rank", 0xFFFFFFF0),
+                                          ("dim", 0xFFFFFFF0)])
+def test_checkpoint_sizes_checked_before_reading(tmp_path, field, value):
+    raw = _small_checkpoint(tmp_path)
+    offset = _first_array_offset(raw)
+    (name_len,) = struct.unpack("<I", raw[offset:offset + 4])
+    offset += {"name length": 0, "rank": 4 + name_len,
+               "dim": 8 + name_len}[field]
+    (tmp_path / "bad.ckpt").write_bytes(_put_u32(raw, offset, value))
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(tmp_path / "bad.ckpt")
+
+
+@pytest.mark.parametrize("meta", [b"\xff\xfe{}", b"{\"task\": ", b"[1, 2"],
+                         ids=["not-utf8", "cut-object", "cut-list"])
+def test_checkpoint_metadata_not_utf8_json(tmp_path, meta):
+    raw = _small_checkpoint(tmp_path)
+    rest = raw[_first_array_offset(raw) - 4:]
+    (tmp_path / "bad.ckpt").write_bytes(
+        raw[:10] + struct.pack("<I", len(meta)) + meta + rest)
+    with pytest.raises(FormatError, match="UTF-8 JSON"):
+        load_checkpoint(tmp_path / "bad.ckpt")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def small_ckpt(fuzz_dir):
+    return _small_checkpoint(fuzz_dir)
+
+
+def _load_or_format_error(fuzz_dir, raw: bytes):
+    """Loading either succeeds or raises FormatError; anything else
+    escapes and fails the test."""
+    path = fuzz_dir / "fuzz.ckpt"
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(path)
+    except FormatError:
+        pass
+
+
+_FUZZ = settings(max_examples=150, deadline=None)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_checkpoint_fuzz_truncation(small_ckpt, fuzz_dir, data):
+    cut = data.draw(st.integers(0, len(small_ckpt) - 1))
+    _load_or_format_error(fuzz_dir, small_ckpt[:cut])
+
+
+@_FUZZ
+@given(data=st.data())
+def test_checkpoint_fuzz_byte_flips(small_ckpt, fuzz_dir, data):
+    raw = bytearray(small_ckpt)
+    # the header and the metadata hold every length; flips there matter most
+    head = _first_array_offset(small_ckpt) + 64
+    for _ in range(data.draw(st.integers(1, 4))):
+        where = data.draw(st.integers(0, head) | st.integers(0, len(raw) - 1))
+        raw[where] ^= data.draw(st.integers(1, 255))
+    _load_or_format_error(fuzz_dir, bytes(raw))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_checkpoint_fuzz_metadata_types(small_ckpt, fuzz_dir, data):
+    raw = small_ckpt
+    offset = _first_array_offset(raw)
+    meta = json.loads(raw[14:offset - 4])
+    if data.draw(st.booleans()):
+        meta = data.draw(_JSON)
+    else:
+        for key in data.draw(st.lists(st.sampled_from(sorted(meta)),
+                                      min_size=1, max_size=3)):
+            meta[key] = data.draw(_JSON | st.integers(-2, 5000)
+                                  | st.sampled_from(["classify", "segment"]))
+    text = json.dumps(meta).encode("utf-8")
+    _load_or_format_error(fuzz_dir, raw[:10] + struct.pack("<I", len(text))
+                          + text + raw[offset - 4:])
+
+
 # -- training -------------------------------------------------------------------
 
 def _tiny_cfg(**kw):
@@ -285,3 +406,140 @@ def test_sweep_matches_single_eval(tmp_path):
 def test_metrics_report_defaults():
     report = MetricsReport()
     assert report.mean_miou is None
+
+
+def test_train_copies_every_augment_field_per_sample(monkeypatch, tmp_path):
+    aug = AugmentConfig(jitter_sigma=0.02, jitter_clip=0.04, shift_range=0.3,
+                        scale_range=(0.9, 1.2), seed=5)
+    cfg = _tiny_cfg(epochs=2, augment=aug)
+    clouds = make_clouds(8)
+    model, _ = train(clouds, cfg)
+    save_checkpoint(model, tmp_path / "replace.ckpt")
+
+    seen = []
+    real = train_module.augment
+
+    def by_hand(cloud, sample_cfg):
+        # the reference: every field copied by name
+        seen.append(sample_cfg)
+        return real(cloud, AugmentConfig(
+            jitter_sigma=aug.jitter_sigma, jitter_clip=aug.jitter_clip,
+            shift_range=aug.shift_range, scale_range=aug.scale_range,
+            seed=sample_cfg.seed))
+    monkeypatch.setattr(train_module, "augment", by_hand)
+    model, _ = train(clouds, cfg)
+    save_checkpoint(model, tmp_path / "by_hand.ckpt")
+
+    assert (tmp_path / "replace.ckpt").read_bytes() == \
+        (tmp_path / "by_hand.ckpt").read_bytes()
+    assert all(replace(c, seed=aug.seed) == aug for c in seen)
+    assert sorted(c.seed for c in seen) == sorted(
+        sample_seed(cfg.seed, epoch, i) for epoch in range(2)
+        for i in range(8))
+
+
+# -- batched FPS: one farthest_point_sample call per batch ----------------------
+
+@pytest.fixture
+def fps_calls(monkeypatch):
+    """Every farthest_point_sample call made through the train module's
+    name for it, the one the benchmark wraps."""
+    calls = []
+    real = train_module.farthest_point_sample
+
+    def counting(clouds, n, start=0):
+        calls.append({"clouds": list(clouds), "n": n, "start": start})
+        calls[-1]["out"] = real(clouds, n, start)
+        return calls[-1]["out"]
+    monkeypatch.setattr(train_module, "farthest_point_sample", counting)
+    return calls
+
+
+def _assert_canonical_per_cloud(calls):
+    for call in calls:
+        starts = [canonical_start(c) for c in call["clouds"]]
+        assert list(call["start"]) == starts
+        for cloud, start, got in zip(call["clouds"], starts, call["out"]):
+            alone = farthest_point_sample(cloud, call["n"], start)
+            np.testing.assert_array_equal(got.points, alone.points)
+            if cloud.part_labels is not None:
+                np.testing.assert_array_equal(got.part_labels,
+                                              alone.part_labels)
+
+
+def test_train_samples_each_warm_up_batch_once(fps_calls):
+    train(make_clouds(10), _tiny_cfg(epochs=3, batch_size=4))
+    # the cache serves every epoch after the first
+    assert [len(call["clouds"]) for call in fps_calls] == [4, 4, 2]
+    _assert_canonical_per_cloud(fps_calls)
+
+
+def test_evaluation_samples_each_batch_once(fps_calls):
+    clouds = make_clouds(40, with_parts=True)
+    classifier = Classifier(din=3, num_classes=2, k=64, depth=3, seed=0)
+    evaluate_classification(classifier, clouds, 16)
+    assert [len(call["clouds"]) for call in fps_calls] == [32, 8]
+    segmenter = Segmenter(din=3, num_parts=3, k=64, depth=3, seed=0)
+    evaluate_segmentation(segmenter, clouds, 16)
+    assert [len(call["clouds"]) for call in fps_calls] == [32, 8, 32, 8]
+    evaluate_classification(classifier, clouds, 32)    # full size
+    assert len(fps_calls) == 4
+    _assert_canonical_per_cloud(fps_calls)
+
+
+def test_evaluation_checks_every_cloud_before_sampling(fps_calls):
+    clouds = make_clouds(3) + make_clouds(1, points_each=8)
+    model = Classifier(din=3, num_classes=2, k=64, depth=3, seed=0)
+    with pytest.raises(SamplingError, match="cloud of 8"):
+        evaluate_classification(model, clouds, 16)
+    assert len(fps_calls) == 1 and "out" not in fps_calls[0]
+
+
+# -- permutation invariance of the whole evaluation pipeline --------------------
+
+@pytest.fixture(scope="module")
+def trained_on_synth(tmp_path_factory):
+    root = tmp_path_factory.mktemp("perm")
+    train_set = load_dataset(synth_shapes(root, 6, 128, seed=0))
+    test_set = load_dataset(synth_shapes(root, 4, 128, seed=1, split="test"))
+    model, _ = train(train_set, TrainConfig(epochs=3, batch_size=8,
+                                            n_points=64, k=64, seed=0))
+    rng = np.random.default_rng(2)
+    shuffled = []
+    for cloud in test_set:
+        order = rng.permutation(len(cloud))
+        shuffled.append(PointCloud(cloud.points[order],
+                                   normals=cloud.normals[order],
+                                   class_label=cloud.class_label))
+    return model, test_set, shuffled
+
+
+def _report_and_logits(model, clouds, n):
+    logits = []
+    forward = model.forward
+    model.forward = lambda x: logits.append(forward(x)) or logits[-1]
+    try:
+        report = evaluate_classification(model, clouds, n)
+    finally:
+        del model.forward
+    return report, np.concatenate(logits)
+
+
+def _same_report(a, b):
+    assert (a.instance_accuracy, a.class_accuracy, a.per_class_counts) == \
+        (b.instance_accuracy, b.class_accuracy, b.per_class_counts)
+
+
+@pytest.mark.parametrize("n", [8, 64, 127])
+def test_evaluation_ignores_row_order_below_full_size(trained_on_synth, n):
+    model, clouds, shuffled = trained_on_synth
+    report, logits = _report_and_logits(model, clouds, n)
+    report_shuffled, logits_shuffled = _report_and_logits(model, shuffled, n)
+    np.testing.assert_array_equal(logits, logits_shuffled)
+    _same_report(report, report_shuffled)
+
+
+def test_evaluation_report_ignores_row_order_at_full_size(trained_on_synth):
+    model, clouds, shuffled = trained_on_synth
+    _same_report(evaluate_classification(model, clouds, 128),
+                 evaluate_classification(model, shuffled, 128))
