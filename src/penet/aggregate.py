@@ -4,54 +4,50 @@ The global feature is the columnwise mean of the point embeddings followed
 by min-max normalization to [0, 1]. Because min-max normalization is
 invariant to positive scaling, summing and averaging give the same
 normalized feature; the mean is canonical here.
+
+``GlobalPool`` is the batched, differentiable form the models use. The
+functional ``sum_pool``, ``mean_pool`` and ``min_max_normalize`` work on
+one cloud; ``min_max_normalize`` runs the same row math as ``GlobalPool``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyCloudError
 
 
-@dataclass
-class GlobalFeature:
-    values: np.ndarray        # (k,), each component in [0, 1]
-    source_count: int         # number of points aggregated
-
-
-def sum_pool(embeddings: np.ndarray, canonical: bool = False) -> np.ndarray:
-    """Columnwise sum over points. ``canonical`` re-sums in index-sorted
-    order of the first column so permutation tests can demand exactness."""
+def sum_pool(embeddings: np.ndarray) -> np.ndarray:
+    """Columnwise sum over points, (N, k) -> (k,)."""
     if embeddings.shape[0] == 0:
         raise EmptyCloudError("cannot pool an empty point cloud")
-    if canonical:
-        order = np.lexsort(embeddings.T[::-1])
-        embeddings = embeddings[order]
     return np.add.reduce(embeddings, axis=0)
 
 
-def mean_pool(embeddings: np.ndarray, canonical: bool = False) -> np.ndarray:
-    if embeddings.shape[0] == 0:
-        raise EmptyCloudError("cannot pool an empty point cloud")
-    return sum_pool(embeddings, canonical=canonical) / embeddings.shape[0]
+def mean_pool(embeddings: np.ndarray) -> np.ndarray:
+    """Columnwise mean over points, (N, k) -> (k,)."""
+    return sum_pool(embeddings) / embeddings.shape[0]
+
+
+def _min_max_rows(m: np.ndarray):
+    """Rowwise (m - min) / (max - min) of a (bs, k) array; an all-equal row
+    maps to all zeros. Returns (out, argmin, argmax, span, degenerate),
+    with span set to 1 on the degenerate rows."""
+    imin = m.argmin(axis=1)
+    imax = m.argmax(axis=1)
+    rows = np.arange(m.shape[0])
+    lo = m[rows, imin]
+    span = m[rows, imax] - lo
+    degenerate = span == 0
+    span = np.where(degenerate, 1.0, span)
+    out = (m - lo[:, None]) / span[:, None]
+    out[degenerate] = 0.0
+    return out, imin, imax, span, degenerate
 
 
 def min_max_normalize(v: np.ndarray) -> np.ndarray:
     """(v - min) / (max - min); an all-equal vector maps to all zeros."""
-    lo = v.min()
-    hi = v.max()
-    if hi == lo:
-        return np.zeros_like(v)
-    return (v - lo) / (hi - lo)
-
-
-def global_feature(embeddings: np.ndarray, canonical: bool = False
-                   ) -> GlobalFeature:
-    """min_max_normalize(mean_pool(E)) with provenance of the point count."""
-    pooled = mean_pool(embeddings, canonical=canonical)
-    return GlobalFeature(min_max_normalize(pooled), embeddings.shape[0])
+    return _min_max_rows(v.reshape(1, -1))[0].reshape(v.shape)
 
 
 class GlobalPool:
@@ -73,32 +69,22 @@ class GlobalPool:
             raise ValueError(f"expected (bs, N, k), got {e.shape}")
         if e.shape[1] == 0:
             raise EmptyCloudError("cannot pool an empty point cloud")
-        mean = e.mean(axis=1)                       # (bs, k)
-        imin = mean.argmin(axis=1)
-        imax = mean.argmax(axis=1)
-        rows = np.arange(mean.shape[0])
-        lo = mean[rows, imin]
-        hi = mean[rows, imax]
-        rng_ = hi - lo
-        degenerate = rng_ == 0
-        safe = np.where(degenerate, 1.0, rng_)
-        out = (mean - lo[:, None]) / safe[:, None]
-        out[degenerate] = 0.0
-        self._cache = (e.shape, imin, imax, safe, degenerate, out)
+        out, imin, imax, span, degenerate = _min_max_rows(e.mean(axis=1))
+        self._cache = (e.shape, imin, imax, span, degenerate, out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        shape, imin, imax, rng_, degenerate, out = self._cache
+        shape, imin, imax, span, degenerate, out = self._cache
         bs, n, k = shape
         rows = np.arange(bs)
         # y_i = (m_i - lo)/(hi - lo):
-        #   dm = dy/rng;  dm[argmin] -= sum(dy)/rng
-        #   dm[argmax] -= sum(dy*y)/rng;  dm[argmin] += sum(dy*y)/rng
-        dmean = dout / rng_[:, None]
-        s_all = dout.sum(axis=1) / rng_
-        s_span = (dout * out).sum(axis=1) / rng_
+        #   dm = dy/span;  dm[argmin] -= sum(dy)/span
+        #   dm[argmax] -= sum(dy*y)/span;  dm[argmin] += sum(dy*y)/span
+        dmean = dout / span[:, None]
+        s_all = dout.sum(axis=1) / span
+        s_span = (dout * out).sum(axis=1) / span
         np.subtract.at(dmean, (rows, imin), s_all)
         np.subtract.at(dmean, (rows, imax), s_span)
         np.add.at(dmean, (rows, imin), s_span)

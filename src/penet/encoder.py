@@ -72,10 +72,6 @@ class Encoder:
     def params(self) -> list[ParamTensor]:
         return [p for layer in self.layers for p in layer.params()]
 
-    @property
-    def hidden_widths(self) -> list[int]:
-        return [l.dout for l in self.layers]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Embed m points, (m, din) -> (m, k), or pool bs clouds,
         (bs, N, din) -> (bs, k) mean embeddings.
@@ -137,15 +133,3 @@ def embed_batch(points: np.ndarray, layout: BatchLayout, encoder: Encoder
     """Fused embedding of bs clouds: one (m, din) forward instead of m."""
     layout.check(points.shape[0])
     return encoder.forward(points)
-
-
-def split_rows(flat: np.ndarray, layout: BatchLayout) -> np.ndarray:
-    """(m, k) -> (bs, N, k), rows kept in cloud-major order."""
-    layout.check(flat.shape[0])
-    return flat.reshape(layout.bs, layout.n_points, flat.shape[1])
-
-
-def flatten_clouds(stacked: np.ndarray) -> tuple[np.ndarray, BatchLayout]:
-    """(bs, N, d) -> ((m, d), layout); inverse of split_rows."""
-    bs, n, d = stacked.shape
-    return stacked.reshape(bs * n, d), BatchLayout(bs, n)

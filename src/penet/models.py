@@ -1,4 +1,11 @@
-"""End-to-end models: encoder + global pooling + task head."""
+"""End-to-end models: one shared body (encoder + global pooling) and a head.
+
+``PENet`` owns the per-point encoder, the ``GlobalPool`` that turns its
+output into a (bs, k) global feature, the task head, the parameter list
+and the checkpoint metadata. ``Classifier`` and ``Segmenter`` only wire
+their head: the classifier reads the global feature as a g x g grid, the
+segmenter also taps the encoder's 128-wide hidden layer per point.
+"""
 
 from __future__ import annotations
 
@@ -11,32 +18,26 @@ from .heads import ClassHead, SegHead, grid_side, reshape_grid
 from .numcore import ParamTensor
 
 
-def _pooled_features(model, points: np.ndarray) -> np.ndarray:
-    """(bs, N, din) -> (bs, k) normalized global features.
+class PENet:
+    """Encoder, GlobalPool and a task head over (bs, N, din) batches.
 
-    The encoder returns each cloud's mean embedding; GlobalPool then sees a
-    length-1 point axis, whose mean is exact, and min-max normalizes it.
+    ``out_key`` names the output count, both as an attribute and in the
+    checkpoint metadata. The feature length k must be a perfect square,
+    checked here for both tasks because the metadata records g = sqrt(k).
     """
-    if points.ndim != 3 or points.shape[2] != model.din:
-        raise DimensionError(
-            f"{type(model).__name__.lower()} expects (bs, N, {model.din}), "
-            f"got {points.shape}")
-    return model.pool.forward(model.encoder.forward(points)[:, None, :])
 
+    task: str
+    out_key: str
 
-class Classifier:
-    """Point cloud in, class logits out."""
-
-    task = "classify"
-
-    def __init__(self, din: int, num_classes: int, k: int = 1024,
-                 depth: int = 3, seed: int = 0, dtype=np.float32):
+    def __init__(self, din: int, n_out: int, k: int, depth: int, seed: int,
+                 dtype, make_head):
+        self.g = grid_side(k)
         rng = np.random.default_rng(seed)
         self.din, self.k, self.depth = din, k, depth
-        self.num_classes = num_classes
+        setattr(self, self.out_key, n_out)
         self.encoder = Encoder(din, k=k, depth=depth, rng=rng, dtype=dtype)
         self.pool = GlobalPool()
-        self.head = ClassHead(k, num_classes, rng, dtype=dtype)
+        self.head = make_head(rng)
         self.extra_meta: dict = {}
 
     def params(self) -> list[ParamTensor]:
@@ -49,39 +50,62 @@ class Classifier:
         for p in self.params():
             p.zero_grad()
 
-    def forward(self, points: np.ndarray) -> np.ndarray:
-        """(bs, N, din) -> (bs, num_classes)."""
-        return self.head.forward(reshape_grid(self.global_features(points)))
-
     def global_features(self, points: np.ndarray) -> np.ndarray:
-        """(bs, N, din) -> (bs, k) normalized global features."""
-        return _pooled_features(self, points)
+        """(bs, N, din) -> (bs, k) normalized global features.
 
-    def backward(self, dlogits: np.ndarray):
-        dgrid = self.head.backward(dlogits)
-        dfeat = self.pool.backward(dgrid.reshape(-1, self.k))
-        self.encoder.backward(dfeat[:, 0])
+        The encoder returns each cloud's mean embedding; GlobalPool then
+        sees a length-1 point axis, whose mean is exact, and min-max
+        normalizes it.
+        """
+        if points.ndim != 3 or points.shape[2] != self.din:
+            raise DimensionError(
+                f"{type(self).__name__.lower()} expects (bs, N, {self.din}), "
+                f"got {points.shape}")
+        return self.pool.forward(self.encoder.forward(points)[:, None, :])
+
+    def _backward_features(self, dfeat: np.ndarray, hidden_grads=None):
+        """Backprop a (bs, k) global-feature gradient to the encoder."""
+        self.encoder.backward(self.pool.backward(dfeat)[:, 0],
+                              hidden_grads=hidden_grads)
 
     def metadata(self) -> dict:
         return {
             "task": self.task,
             "din": self.din,
             "k": self.k,
-            "g": grid_side(self.k),
+            "g": self.g,
             "encoder_depth": self.depth,
-            "num_classes": self.num_classes,
+            self.out_key: getattr(self, self.out_key),
             **self.extra_meta,
         }
 
 
-class Segmenter:
+class Classifier(PENet):
+    """Point cloud in, class logits out."""
+
+    task, out_key = "classify", "num_classes"
+
+    def __init__(self, din: int, num_classes: int, k: int = 1024,
+                 depth: int = 3, seed: int = 0, dtype=np.float32):
+        super().__init__(din, num_classes, k, depth, seed, dtype,
+                         lambda rng: ClassHead(k, num_classes, rng, dtype=dtype))
+
+    def forward(self, points: np.ndarray) -> np.ndarray:
+        """(bs, N, din) -> (bs, num_classes)."""
+        return self.head.forward(reshape_grid(self.global_features(points)))
+
+    def backward(self, dlogits: np.ndarray):
+        self._backward_features(self.head.backward(dlogits).reshape(-1, self.k))
+
+
+class Segmenter(PENet):
     """Point cloud in, per-point part logits out.
 
     The per-point local feature is the encoder's 128-wide second hidden
     layer, so the encoder depth must be >= 3 (depth 3 is canonical).
     """
 
-    task = "segment"
+    task, out_key = "segment", "num_parts"
     LOCAL_LAYER = 1          # index into encoder hidden activations
     LOCAL_DIM = 128
 
@@ -90,45 +114,18 @@ class Segmenter:
         if depth < 3:
             raise ValueError("segmentation needs the 128-wide hidden layer "
                              "(encoder depth >= 3)")
-        rng = np.random.default_rng(seed)
-        self.din, self.k, self.depth = din, k, depth
-        self.num_parts = num_parts
-        self.encoder = Encoder(din, k=k, depth=depth, rng=rng, dtype=dtype)
-        self.pool = GlobalPool()
-        self.head = SegHead(k, self.LOCAL_DIM, num_parts, rng, dtype=dtype)
-        self.extra_meta: dict = {}
-
-    def params(self) -> list[ParamTensor]:
-        return self.encoder.params() + self.head.params()
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value for p in self.params()}
-
-    def zero_grads(self):
-        for p in self.params():
-            p.zero_grad()
+        super().__init__(din, num_parts, k, depth, seed, dtype,
+                         lambda rng: SegHead(k, self.LOCAL_DIM, num_parts, rng,
+                                             dtype=dtype))
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, N, num_parts)."""
-        feat = _pooled_features(self, points)
+        feat = self.global_features(points)
         local = self.encoder.hidden(self.LOCAL_LAYER).reshape(
             *points.shape[:2], self.LOCAL_DIM)
         return self.head.forward(local, feat)
 
     def backward(self, dlogits: np.ndarray):
         d_local, d_global = self.head.backward(dlogits)
-        dfeat = self.pool.backward(d_global)
-        self.encoder.backward(
-            dfeat[:, 0],
-            hidden_grads={self.LOCAL_LAYER: d_local.reshape(-1, self.LOCAL_DIM)})
-
-    def metadata(self) -> dict:
-        return {
-            "task": self.task,
-            "din": self.din,
-            "k": self.k,
-            "g": grid_side(self.k),
-            "encoder_depth": self.depth,
-            "num_parts": self.num_parts,
-            **self.extra_meta,
-        }
+        self._backward_features(d_global, hidden_grads={
+            self.LOCAL_LAYER: d_local.reshape(-1, self.LOCAL_DIM)})

@@ -84,21 +84,20 @@ class ReLU:
         return dout * self._mask
 
 
-def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
-            oh: int, ow: int) -> np.ndarray:
+def _im2col(x_pad: np.ndarray, kh: int, kw: int, oh: int, ow: int
+            ) -> np.ndarray:
     # (n, c, hp, wp) -> (n, oh, ow, c*kh*kw)
     win = np.lib.stride_tricks.sliding_window_view(x_pad, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]          # (n, c, oh, ow, kh, kw)
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(x_pad.shape[0], oh, ow, -1)
 
 
 class Conv2d:
-    """2D cross-correlation with zero padding, NCHW layout."""
+    """2D cross-correlation with stride 1 and zero padding, NCHW layout."""
 
     def __init__(self, cin: int, cout: int, ksize: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, name: str = "conv", dtype=np.float32):
+                 pad: int = 0, name: str = "conv", dtype=np.float32):
         self.cin, self.cout, self.ksize = cin, cout, ksize
-        self.stride, self.pad = stride, pad
+        self.pad = pad
         fan_in = cin * ksize * ksize
         fan_out = cout * ksize * ksize
         self.w = ParamTensor(
@@ -111,9 +110,9 @@ class Conv2d:
         return [self.w, self.b]
 
     def _out_hw(self, h: int, w: int) -> tuple[int, int]:
-        k, s, p = self.ksize, self.stride, self.pad
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
+        k, p = self.ksize, self.pad
+        oh = h + 2 * p - k + 1
+        ow = w + 2 * p - k + 1
         if oh < 1 or ow < 1:
             raise DimensionError(
                 f"conv kernel {k}x{k} (pad {p}) exceeds input {h}x{w}")
@@ -127,7 +126,7 @@ class Conv2d:
         oh, ow = self._out_hw(h, w)
         p = self.pad
         x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = _im2col(x_pad, self.ksize, self.ksize, self.stride, oh, ow)
+        cols = _im2col(x_pad, self.ksize, self.ksize, oh, ow)
         self._cols = cols
         self._xshape = x.shape
         wmat = self.w.value.reshape(self.cout, -1)       # (cout, cin*k*k)
@@ -138,7 +137,7 @@ class Conv2d:
         if self._cols is None or self._xshape is None:
             raise RuntimeError("backward called before forward")
         n, _, h, w = self._xshape
-        k, s, p = self.ksize, self.stride, self.pad
+        k, p = self.ksize, self.pad
         _, _, oh, ow = dout.shape
         d = dout.transpose(0, 2, 3, 1)                   # (n, oh, ow, cout)
         cols_flat = self._cols.reshape(-1, self._cols.shape[-1])
@@ -150,17 +149,17 @@ class Conv2d:
         dx_pad = np.zeros((n, self.cin, h + 2 * p, w + 2 * p), dtype=dout.dtype)
         for u in range(k):
             for v in range(k):
-                dx_pad[:, :, u:u + s * oh:s, v:v + s * ow:s] += \
+                dx_pad[:, :, u:u + oh, v:v + ow] += \
                     dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
         return dx_pad[:, :, p:p + h, p:p + w] if p else dx_pad
 
 
 class MaxPool2d:
-    """Per-window maximum; trailing cells that do not fill a window are dropped."""
+    """Maximum over non-overlapping window x window tiles; trailing cells
+    that do not fill a window are dropped."""
 
-    def __init__(self, window: int, stride: int | None = None):
+    def __init__(self, window: int):
         self.window = window
-        self.stride = stride if stride is not None else window
         self._argmax: np.ndarray | None = None
         self._xshape: tuple[int, ...] | None = None
 
@@ -171,13 +170,12 @@ class MaxPool2d:
         if x.ndim != 4:
             raise DimensionError(f"maxpool expects (n, c, h, w), got {x.shape}")
         n, c, h, w = x.shape
-        k, s = self.window, self.stride
+        k = self.window
         if k > h or k > w:
             raise DimensionError(f"pool window {k} exceeds spatial extent {h}x{w}")
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
+        oh, ow = h // k, w // k
         win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        win = win[:, :, ::s, ::s, :, :].reshape(n, c, oh, ow, k * k)
+        win = win[:, :, ::k, ::k, :, :].reshape(n, c, oh, ow, k * k)
         # first-index argmax so tie handling is deterministic
         self._argmax = win.argmax(axis=-1)
         self._xshape = x.shape
@@ -187,15 +185,14 @@ class MaxPool2d:
         if self._argmax is None or self._xshape is None:
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._xshape
-        k, s = self.window, self.stride
+        k = self.window
         _, _, oh, ow = dout.shape
         dx = np.zeros(self._xshape, dtype=dout.dtype)
         ii, jj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-        rows = ii * s + self._argmax // k                # (n, c, oh, ow)
-        cols = jj * s + self._argmax % k
+        rows = ii * k + self._argmax // k                # (n, c, oh, ow)
+        cols = jj * k + self._argmax % k
         ni = np.arange(n)[:, None, None, None]
         ci = np.arange(c)[None, :, None, None]
-        # overlapping windows may hit the same cell, so scatter-add
         np.add.at(dx, (ni, ci, rows, cols), dout)
         return dx
 

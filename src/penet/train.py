@@ -13,6 +13,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,18 @@ class MetricsReport:
 
 # --------------------------------------------------------------------------
 # Checkpoints
+
+
+def _model_class(task: str):
+    """(model class, metadata key of its output count) for a task.
+
+    The class is read from this module's globals at each call, so a caller
+    that replaces ``Classifier`` or ``Segmenter`` here (bench/run.py does,
+    to time every layer) gets its replacement from train and load_checkpoint.
+    """
+    if task == "classify":
+        return Classifier, "num_classes"
+    return Segmenter, "num_parts"
 
 
 def save_checkpoint(model, path):
@@ -161,12 +174,9 @@ def load_checkpoint(path):
     if not isinstance(meta, dict):
         raise FormatError("checkpoint metadata is not a JSON object")
     task = meta.get("task")
-    if task == "classify":
-        model_cls, n_out_key = Classifier, "num_classes"
-    elif task == "segment":
-        model_cls, n_out_key = Segmenter, "num_parts"
-    else:
+    if task not in ("classify", "segment"):
         raise FormatError(f"unknown task {task!r} in checkpoint metadata")
+    model_cls, n_out_key = _model_class(task)
     din, n_out, k, depth = _meta_ints(meta, "din", n_out_key, "k",
                                       "encoder_depth")
     # din, n_out and k each size an array of a valid file, so none exceeds
@@ -181,7 +191,6 @@ def load_checkpoint(path):
         model = model_cls(din, n_out, k=k, depth=depth)
     except ValueError as exc:
         raise FormatError(f"checkpoint metadata describes no model: {exc}")
-    model.loaded_meta = meta
     core = {"task", "din", "k", "g", "encoder_depth", "num_classes", "num_parts"}
     model.extra_meta = {key: val for key, val in meta.items() if key not in core}
     params = {p.name: p for p in model.params()}
@@ -249,25 +258,22 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     if any(c.din != din for c in clouds):
         raise DataError("mixed clouds with and without normals")
 
-    if cfg.task == "classify":
-        labels = [c.class_label for c in clouds]
-        if any(l is None for l in labels):
-            raise ConfigError("classification requires class labels")
-        n_out = num_classes if num_classes is not None else max(labels) + 1
-        if max(labels) >= n_out:
-            raise ConfigError(f"class id {max(labels)} >= num_classes {n_out}")
-        model = Classifier(din, n_out, k=cfg.k, depth=cfg.encoder_depth,
-                           seed=cfg.seed)
-    else:
-        if any(c.part_labels is None for c in clouds):
-            raise ConfigError("segmentation requires part labels")
-        n_out = num_classes if num_classes is not None else \
-            int(max(c.part_labels.max() for c in clouds)) + 1
-        if val_clouds and any(c.part_labels is None for c in val_clouds):
-            raise ConfigError("segmentation validation requires part labels")
-        model = Segmenter(din, n_out, k=cfg.k, depth=cfg.encoder_depth,
-                          seed=cfg.seed)
-
+    classify = cfg.task == "classify"
+    # a cloud's labels: one class id, or one part id per point
+    label_of = attrgetter("class_label" if classify else "part_labels")
+    what = "class" if classify else "part"
+    evaluate = evaluate_classification if classify else evaluate_segmentation
+    val_clouds = val_clouds or []
+    for split, group in (("training", clouds), ("validation", val_clouds)):
+        if any(label_of(c) is None for c in group):
+            raise ConfigError(f"{cfg.task} {split} requires {what} labels")
+    top = int(max(np.max(label_of(c)) for c in clouds))
+    n_out = num_classes if num_classes is not None else top + 1
+    if top >= n_out:
+        raise ConfigError(f"{what} id {top} >= num_classes {n_out}")
+    model_cls, _ = _model_class(cfg.task)
+    model = model_cls(din, n_out, k=cfg.k, depth=cfg.encoder_depth,
+                      seed=cfg.seed)
     model.extra_meta["train_points"] = cfg.n_points
     opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else SGD(lr=cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
@@ -291,35 +297,23 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
                 cfg.seed, epoch, int(i)))) for c, i in zip(prepared, idxs)]
             x = _stack_features(batch)
             logits = model.forward(x)
-            if cfg.task == "classify":
-                y = np.array([c.class_label for c in batch])
-                loss, dlogits = softmax_cross_entropy(logits, y)
-                correct += int((predict(logits) == y).sum())
-                total += len(y)
-            else:
-                y = np.concatenate([c.part_labels for c in batch])
-                flat = logits.reshape(-1, logits.shape[-1])
-                loss, dflat = softmax_cross_entropy(flat, y)
-                dlogits = dflat.reshape(logits.shape)
-                correct += int((predict(flat) == y).sum())
-                total += len(y)
+            y = np.hstack([label_of(c) for c in batch])
+            flat = logits.reshape(-1, logits.shape[-1])
+            loss, dflat = softmax_cross_entropy(flat, y)
+            correct += int((predict(flat) == y).sum())
+            total += len(y)
             if not math.isfinite(loss):
                 raise ConfigError(
                     f"non-finite loss {loss} at epoch {epoch}, batch "
                     f"{b0 // cfg.batch_size} (lr {opt.lr:g})")
             model.zero_grads()
-            model.backward(dlogits.astype(np.float32))
+            model.backward(dflat.reshape(logits.shape).astype(np.float32))
             opt.step(model.params())
             losses.append(loss)
         train_acc = correct / total
-        if not val_clouds:
-            val_acc = float("nan")
-        elif cfg.task == "classify":
-            val_acc = evaluate_classification(
-                model, val_clouds, cfg.n_points).instance_accuracy
-        else:       # per-point accuracy
-            val_acc = evaluate_segmentation(
-                model, val_clouds, cfg.n_points).instance_accuracy
+        # instance accuracy: per cloud or, for segmentation, per point
+        val_acc = evaluate(model, val_clouds, cfg.n_points).instance_accuracy \
+            if val_clouds else float("nan")
         seconds = time.perf_counter() - t0
         log_rows.append((epoch, float(np.mean(losses)), train_acc, val_acc,
                          seconds))
@@ -339,6 +333,8 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
 def _infer_batches(model, clouds: list[PointCloud], n_points: int,
                    batch_size: int = 32):
     """(prepared clouds, logits) for each batch of up to batch_size."""
+    if not clouds:
+        raise DataError("no clouds to evaluate")
     for b0 in range(0, len(clouds), batch_size):
         prepared = _prepare_batch(clouds[b0:b0 + batch_size], n_points)
         yield prepared, model.forward(_stack_features(prepared))

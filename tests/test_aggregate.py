@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penet.aggregate import (GlobalPool, global_feature, mean_pool,
-                             min_max_normalize, sum_pool)
+from penet.aggregate import GlobalPool, mean_pool, min_max_normalize, sum_pool
 from penet.errors import EmptyCloudError
 
 from oracles import numeric_grad
@@ -31,9 +30,11 @@ def test_sum_pool_additivity_over_union():
 
 
 def test_empty_cloud_rejected():
-    for fn in (sum_pool, mean_pool, global_feature):
+    for fn in (sum_pool, mean_pool):
         with pytest.raises(EmptyCloudError):
             fn(np.zeros((0, 4)))
+    with pytest.raises(EmptyCloudError):
+        GlobalPool().forward(np.zeros((2, 0, 4)))
 
 
 def test_mean_pool_examples():
@@ -67,17 +68,22 @@ def test_min_max_normalize_affine_invariant(seed, c, d):
 
 
 def test_global_feature_examples():
-    gf = global_feature(np.array([[0.0, 1.0]]))
-    np.testing.assert_array_equal(gf.values, [0.0, 1.0])
-    assert gf.source_count == 1
+    e = np.array([[0.0, 1.0]])
+    np.testing.assert_array_equal(min_max_normalize(mean_pool(e)), [0.0, 1.0])
+    np.testing.assert_array_equal(GlobalPool().forward(e[None]), [[0.0, 1.0]])
+    e = np.array([[1.0, 4.0, 2.0], [3.0, 0.0, 2.0]])      # mean [2, 2, 2]
+    np.testing.assert_array_equal(min_max_normalize(mean_pool(e)), [0, 0, 0])
+    np.testing.assert_array_equal(GlobalPool().forward(e[None]), [[0, 0, 0]])
 
 
 def test_global_feature_duplication_invariant():
     rng = np.random.default_rng(2)
     e = rng.normal(size=(5, 10))
     doubled = np.concatenate([e, e])
-    np.testing.assert_allclose(global_feature(doubled).values,
-                               global_feature(e).values, atol=1e-6)
+    np.testing.assert_allclose(min_max_normalize(mean_pool(doubled)),
+                               min_max_normalize(mean_pool(e)), atol=1e-6)
+    np.testing.assert_allclose(GlobalPool().forward(doubled[None]),
+                               GlobalPool().forward(e[None]), atol=1e-6)
 
 
 def test_sum_and_mean_reconcile_after_normalization():
@@ -87,23 +93,13 @@ def test_sum_and_mean_reconcile_after_normalization():
                                min_max_normalize(sum_pool(e)), atol=1e-6)
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_global_feature_permutation_invariant_canonical(seed):
-    rng = np.random.default_rng(seed)
-    e = rng.normal(size=(8, 6))
-    perm = rng.permutation(8)
-    a = global_feature(e, canonical=True).values
-    b = global_feature(e[perm], canonical=True).values
-    np.testing.assert_array_equal(a, b)  # bit-exact in canonical order
-
-
 def test_global_feature_range():
     rng = np.random.default_rng(4)
-    gf = global_feature(rng.normal(size=(30, 50)))
-    assert gf.values.min() == 0.0
-    assert gf.values.max() == 1.0
-    assert ((gf.values >= 0) & (gf.values <= 1)).all()
+    e = rng.normal(size=(3, 30, 50))
+    for feat in [min_max_normalize(mean_pool(e[0])), *GlobalPool().forward(e)]:
+        assert feat.min() == 0.0
+        assert feat.max() == 1.0
+        assert ((feat >= 0) & (feat <= 1)).all()
 
 
 def test_global_pool_forward_matches_functional():
@@ -112,7 +108,7 @@ def test_global_pool_forward_matches_functional():
     pool = GlobalPool()
     out = pool.forward(e)
     for i in range(3):
-        np.testing.assert_allclose(out[i], global_feature(e[i]).values,
+        np.testing.assert_allclose(out[i], min_max_normalize(mean_pool(e[i])),
                                    atol=1e-12)
 
 

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import fields
 
 import numpy as np
@@ -175,6 +176,35 @@ def test_eval_bad_seg_sidecar(trained_ckpt, tmp_path, capsys):
     assert main(["eval", "--ckpt", str(trained_ckpt),
                  "--data", str(tmp_path)]) == 1
     assert "c.txt.seg:2:" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", [["eval"], ["sweep", "--points", "16,32"]])
+def test_empty_split_is_one_line_error(trained_ckpt, tmp_path, capsys,
+                                       command):
+    (tmp_path / "test.manifest").write_text("#classes: a,b\n")
+    out = tmp_path / "sweep.csv"
+    argv = command + ["--ckpt", str(trained_ckpt), "--data", str(tmp_path)]
+    if command[0] == "sweep":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert "no clouds to evaluate" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_train_segment_non_square_k_fails_before_training(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_batches(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(importlib.import_module("penet.train"),
+                        "_prepare_batch", no_batches)
+    (tmp_path / "c.txt").write_text("0 0 0 0 0 1\n1 0 0 0 0 1\n")
+    (tmp_path / "c.txt.seg").write_text("0\n1\n")
+    (tmp_path / "train.manifest").write_text("c.txt\t0\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(tmp_path), "--out", str(ckpt),
+                 "--set", "task=segment", "--set", "k=1000"]) == 1
+    assert "perfect square" in _one_line_error(capsys)
+    assert not ckpt.exists() and not ckpt.with_suffix(".log.csv").exists()
 
 
 def test_gradcheck_passes(capsys):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from penet.encoder import (BatchLayout, Encoder, embed_batch, embed_point,
-                           flatten_clouds, split_rows)
+from penet.encoder import BatchLayout, Encoder, embed_batch, embed_point
 from penet.errors import DimensionError, LayoutError
 from penet.numcore import softmax_cross_entropy, grad_check
 
@@ -84,27 +83,6 @@ def test_per_point_independence():
 def test_layout_mismatch():
     with pytest.raises(LayoutError):
         embed_batch(np.zeros((5, 6)), BatchLayout(2, 3), _encoder())
-
-
-def test_split_rows_layout():
-    flat = np.arange(8.0).reshape(4, 2)
-    out = split_rows(flat, BatchLayout(2, 2))
-    np.testing.assert_array_equal(out[0], flat[:2])
-    np.testing.assert_array_equal(out[1], flat[2:])
-
-
-def test_split_rows_single_cloud_and_roundtrip():
-    flat = np.arange(12.0).reshape(4, 3)
-    single = split_rows(flat, BatchLayout(1, 4))
-    assert single.shape == (1, 4, 3)
-    back, layout = flatten_clouds(single)
-    np.testing.assert_array_equal(back, flat)
-    assert layout == BatchLayout(1, 4)
-
-
-def test_split_rows_size_mismatch():
-    with pytest.raises(LayoutError):
-        split_rows(np.zeros((5, 2)), BatchLayout(2, 2))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])

