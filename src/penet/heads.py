@@ -2,6 +2,9 @@
 
 Classification reshapes the k-dim global feature into a g x g grid
 (g = sqrt(k), 32 for the default k=1024) and runs a small 2D CNN over it.
+Each conv stage pools before its ReLU, so the ReLU sees a quarter of the
+cells; relu(max(x)) = max(relu(x)) exactly, and both orders send the
+gradient to the same cell, or only zeros when the window's max is <= 0.
 Segmentation joins the cloud's global feature with each point's 128-wide
 intermediate encoder feature and applies a shared per-point MLP. Its first
 layer never builds that join: since concat(g, l) W = g W[:k] + l W[k:]
@@ -39,7 +42,14 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 
 class ClassHead:
-    """conv(1->16) + pool, conv(16->32) + pool, fc 256, fc num_classes."""
+    """conv(1->16) + pool + ReLU, conv(16->32) + pool + ReLU, fc 256,
+    fc num_classes.
+
+    Pooling before the ReLU gives the bits of ReLU before pooling: where a
+    window's max is > 0 both pick its first maximal cell, and where it is
+    <= 0 both output +0.0 and pass back only zeros. Those zeros may differ
+    in sign, which Conv2d.backward drops by adding them to +0.0.
+    """
 
     def __init__(self, k: int, num_classes: int, rng: np.random.Generator,
                  dtype=np.float32):
@@ -66,8 +76,8 @@ class ClassHead:
 
     def forward(self, grid: np.ndarray) -> np.ndarray:
         """(bs, 1, g, g) -> (bs, num_classes)."""
-        h = self.pool1.forward(self.relu1.forward(self.conv1.forward(grid)))
-        h = self.pool2.forward(self.relu2.forward(self.conv2.forward(h)))
+        h = self.relu1.forward(self.pool1.forward(self.conv1.forward(grid)))
+        h = self.relu2.forward(self.pool2.forward(self.conv2.forward(h)))
         self._conv_out_shape = h.shape
         h = h.reshape(h.shape[0], -1)
         h = self.relu3.forward(self.fc1.forward(h))
@@ -76,8 +86,8 @@ class ClassHead:
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         g = self.fc1.backward(self.relu3.backward(self.fc2.backward(dlogits)))
         g = g.reshape(self._conv_out_shape)
-        g = self.conv2.backward(self.relu2.backward(self.pool2.backward(g)))
-        g = self.conv1.backward(self.relu1.backward(self.pool1.backward(g)))
+        g = self.conv2.backward(self.pool2.backward(self.relu2.backward(g)))
+        g = self.conv1.backward(self.pool1.backward(self.relu1.backward(g)))
         return g
 
 

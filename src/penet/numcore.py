@@ -156,44 +156,66 @@ class Conv2d:
 
 class MaxPool2d:
     """Maximum over non-overlapping window x window tiles; trailing cells
-    that do not fill a window are dropped."""
+    that do not fill a window are dropped and get a zero gradient.
+
+    Ties go to the window's first cell in row-major order, the cell
+    ``argmax`` picks: equal values, -0.0 and +0.0 included, keep the
+    earlier cell, whose value is the output. Backward routes each output
+    gradient to that cell alone. Inputs and gradients are assumed finite.
+    """
 
     def __init__(self, window: int):
         self.window = window
-        self._argmax: np.ndarray | None = None
-        self._xshape: tuple[int, ...] | None = None
+        self._x: np.ndarray | None = None
+        self._out: np.ndarray | None = None
 
     def params(self) -> list[ParamTensor]:
         return []
 
+    def _views(self, a: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
+        # one (n, c, oh, ow) view per window cell, in row-major cell order
+        k = self.window
+        return [a[:, :, u:oh * k:k, v:ow * k:k]
+                for u in range(k) for v in range(k)]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise DimensionError(f"maxpool expects (n, c, h, w), got {x.shape}")
-        n, c, h, w = x.shape
+        _, _, h, w = x.shape
         k = self.window
         if k > h or k > w:
             raise DimensionError(f"pool window {k} exceeds spatial extent {h}x{w}")
-        oh, ow = h // k, w // k
-        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        win = win[:, :, ::k, ::k, :, :].reshape(n, c, oh, ow, k * k)
-        # first-index argmax so tie handling is deterministic
-        self._argmax = win.argmax(axis=-1)
-        self._xshape = x.shape
-        return np.take_along_axis(win, self._argmax[..., None], axis=-1)[..., 0]
+        views = self._views(x, h // k, w // k)
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
+        zero = out == 0
+        if zero.any():
+            # np.maximum may return either of -0.0 and +0.0: take the sign
+            # of the first zero cell by writing the zero cells last to first
+            for view in reversed(views):
+                np.copyto(out, view, where=zero & (view == 0))
+        self._x, self._out = x, out
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._argmax is None or self._xshape is None:
+        if self._x is None or self._out is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._xshape
-        k = self.window
-        _, _, oh, ow = dout.shape
-        dx = np.zeros(self._xshape, dtype=dout.dtype)
-        ii, jj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-        rows = ii * k + self._argmax // k                # (n, c, oh, ow)
-        cols = jj * k + self._argmax % k
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (ni, ci, rows, cols), dout)
+        # the cache serves one backward; dropping it frees the input before
+        # the optimizer step
+        x, out = self._x, self._out
+        self._x = self._out = None
+        oh, ow = out.shape[2:]
+        dx = np.zeros(x.shape, dtype=dout.dtype)
+        unrouted = np.ones(out.shape, dtype=bool)
+        for xv, dxv in zip(self._views(x, oh, ow), self._views(dx, oh, ow)):
+            hit = xv == out
+            hit &= unrouted
+            unrouted ^= hit
+            np.multiply(dout, hit, out=dxv)
+        # dout * False is -0.0 where dout < 0, and a hit cell keeps a dout
+        # of -0.0; adding 0 makes both +0.0, as a scatter-add into zeros does
+        dx += 0
         return dx
 
 
@@ -236,6 +258,14 @@ class SGD:
 
 
 class Adam:
+    """Adam with bias correction, updated in place.
+
+    The operation order is part of the result: v gains ((1-beta2)*g)*g and
+    the value loses (lr*(m/(1-beta1^t))) / (sqrt(v/(1-beta2^t)) + eps),
+    every scalar rounded to the parameter dtype. Reordering them changes
+    trained checkpoints.
+    """
+
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -246,16 +276,25 @@ class Adam:
     def step(self, params: list[ParamTensor]):
         self.step_count += 1
         t = self.step_count
+        b1, b2 = self.beta1, self.beta2
         for p in params:
             m = self._m.setdefault(p.name, np.zeros_like(p.value))
             v = self._v.setdefault(p.name, np.zeros_like(p.value))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            mhat = m / (1.0 - self.beta1 ** t)
-            vhat = v / (1.0 - self.beta2 ** t)
-            p.value -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.value.dtype)
+            g = p.grad
+            s = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += s
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v *= b2
+            v += s
+            np.divide(m, 1.0 - b1 ** t, out=s)           # mhat
+            s *= self.lr
+            s2 = np.divide(v, 1.0 - b2 ** t)              # vhat
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s /= s2
+            p.value -= s
 
 
 @dataclass

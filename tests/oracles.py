@@ -58,6 +58,65 @@ def naive_maxpool2d(x, window, stride):
     return out
 
 
+def argmax_maxpool2d(x, window):
+    """Non-overlapping max pooling by first-index argmax over each window's
+    row-major cells. Returns (out, backward); backward(dout) scatter-adds
+    dout into zeros at the argmax cells, trailing cells staying zero."""
+    n, c, h, w = x.shape
+    k = window
+    oh, ow = h // k, w // k
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::k, ::k, :, :].reshape(n, c, oh, ow, k * k)
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+
+    def backward(dout):
+        dx = np.zeros(x.shape, dtype=dout.dtype)
+        ii, jj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
+        rows = ii * k + arg // k
+        cols = jj * k + arg % k
+        ni = np.arange(n)[:, None, None, None]
+        ci = np.arange(c)[None, :, None, None]
+        np.add.at(dx, (ni, ci, rows, cols), dout)
+        return dx
+
+    return out, backward
+
+
+def relu_then_pool_forward(head, grid):
+    """ClassHead.forward with each ReLU applied before its pool."""
+    h = head.pool1.forward(head.relu1.forward(head.conv1.forward(grid)))
+    h = head.pool2.forward(head.relu2.forward(head.conv2.forward(h)))
+    head._conv_out_shape = h.shape
+    h = head.relu3.forward(head.fc1.forward(h.reshape(h.shape[0], -1)))
+    return head.fc2.forward(h)
+
+
+def relu_then_pool_backward(head, dlogits):
+    """The backward of relu_then_pool_forward."""
+    g = head.fc1.backward(head.relu3.backward(head.fc2.backward(dlogits)))
+    g = g.reshape(head._conv_out_shape)
+    g = head.conv2.backward(head.relu2.backward(head.pool2.backward(g)))
+    return head.conv1.backward(head.relu1.backward(head.pool1.backward(g)))
+
+
+def reference_adam_step(opt, params):
+    """One Adam step on an Adam instance's state, written with whole-array
+    temporaries in the update's defining operation order."""
+    opt.step_count += 1
+    t = opt.step_count
+    for p in params:
+        m = opt._m.setdefault(p.name, np.zeros_like(p.value))
+        v = opt._v.setdefault(p.name, np.zeros_like(p.value))
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * p.grad
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * p.grad * p.grad
+        mhat = m / (1.0 - opt.beta1 ** t)
+        vhat = v / (1.0 - opt.beta2 ** t)
+        p.value -= (opt.lr * mhat / (np.sqrt(vhat) + opt.eps)).astype(p.value.dtype)
+
+
 def naive_fps(points, n, start=0):
     """Recompute the full min-distance-to-selected for every candidate at
     every step. O(n * N^2)."""

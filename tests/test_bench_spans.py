@@ -50,3 +50,15 @@ def test_wrapped_layers_record_forward_and_backward(spans, task):
     for name in names:
         for method in ("forward", "backward"):
             assert f"{name}.{method}" in recorded, (name, method)
+
+
+def test_classifier_span_names_unchanged(spans):
+    """The benchmark declares per-layer metrics under these names, so the
+    classifier's layer objects must keep them whatever order they run in."""
+    model = Classifier(din=6, num_classes=4, k=64, depth=3, seed=0)
+    assert [name for name, _ in spans.layer_objects(model)] == [
+        "models", "encoder", "encoder.layer1", "encoder.layer2",
+        "encoder.layer3", "encoder.relus.0", "encoder.relus.1",
+        "aggregate.GlobalPool", "head", "head.conv1", "head.relu1",
+        "head.pool1", "head.conv2", "head.relu2", "head.pool2", "head.fc1",
+        "head.relu3", "head.fc2"]

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from penet.errors import DimensionError
 from penet.numcore import (Adam, Conv2d, GradCheckReport, Linear, MaxPool2d,
                            ParamTensor, ReLU, SGD, grad_check,
                            softmax_cross_entropy)
 
-from oracles import naive_conv2d, naive_linear, naive_maxpool2d, numeric_grad
+from oracles import (argmax_maxpool2d, naive_conv2d, naive_linear,
+                     naive_maxpool2d, numeric_grad, reference_adam_step)
 
 
 def _linear_with(w, b, dtype=np.float64):
@@ -137,6 +140,65 @@ def test_maxpool_matches_naive_oracle():
 def test_maxpool_window_exceeds_extent():
     with pytest.raises(DimensionError):
         MaxPool2d(5).forward(np.zeros((1, 1, 3, 3)))
+
+
+def _assert_pool_matches_argmax(x, window, dout):
+    pool = MaxPool2d(window)
+    out = pool.forward(x)
+    ref_out, ref_backward = argmax_maxpool2d(x, window)
+    assert out.dtype == ref_out.dtype
+    assert out.tobytes() == ref_out.tobytes()
+    dx = pool.backward(dout)
+    ref_dx = ref_backward(dout)
+    assert dx.dtype == ref_dx.dtype
+    assert dx.tobytes() == ref_dx.tobytes()
+    return dx
+
+
+@st.composite
+def _pool_case(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    window = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(window, 9)), draw(st.integers(window, 9)))
+    # a small lattice with both zeros makes ties in most windows
+    elements = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    if draw(st.booleans()):
+        elements = elements | st.floats(-4, 4, width=32)
+    x = draw(hnp.arrays(dtype, shape, elements=elements))
+    oh, ow = shape[2] // window, shape[3] // window
+    dout = draw(hnp.arrays(dtype, (shape[0], shape[1], oh, ow),
+                           elements=st.floats(-3, 3, width=32)))
+    return x, window, dout
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_case())
+def test_maxpool_matches_argmax_oracle_bytewise(case):
+    _assert_pool_matches_argmax(*case)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,h,w", [(2, 7, 7), (2, 5, 9), (3, 7, 7),
+                                        (3, 5, 9), (2, 4, 4), (1, 3, 5)])
+def test_maxpool_ties_route_to_first_cell(dtype, window, h, w):
+    rng = np.random.default_rng(h * 10 + w + window)
+    x = rng.integers(-1, 2, size=(2, 3, h, w)).astype(dtype)
+    x[0, 0] = 1.0                       # every window all-equal
+    x[0, 1] = -0.0
+    x[0, 1, ::2, ::2] = 0.0             # -0.0 and +0.0 in every window
+    x[0, 2] = 0.0
+    x[0, 2, 1::2, 1::2] = -0.0
+    oh, ow = h // window, w // window
+    dout = rng.normal(size=(2, 3, oh, ow)).astype(dtype)
+    dout[1, 0] = -0.0
+    dx = _assert_pool_matches_argmax(x, window, dout)
+    # all-equal windows send each gradient to their top-left cell
+    np.testing.assert_array_equal(
+        dx[0, 0, :oh * window:window, :ow * window:window], dout[0, 0])
+    # cells outside every window keep a zero gradient
+    assert not dx[:, :, oh * window:].any()
+    assert not dx[:, :, :, ow * window:].any()
 
 
 # -- softmax cross-entropy ----------------------------------------------------
@@ -288,6 +350,35 @@ def test_adam_two_steps_match_hand_rollout():
         v = beta2 * v + (1 - beta2) * g * g
         ref -= lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
     assert p.value[0] == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hyper", [
+    {},
+    {"lr": 0.037, "beta1": 0.8, "beta2": 0.95, "eps": 1e-4},
+    {"lr": 3e-4, "beta1": 0.5, "beta2": 0.9999, "eps": 1e-7},
+])
+def test_adam_matches_reference_bytewise(dtype, hyper):
+    rng = np.random.default_rng(21)
+    shapes = {"a": (5, 4), "b": (7,), "c": (2, 3, 3, 3), "zero": (6,)}
+    new = {n: ParamTensor(n, rng.normal(size=s).astype(dtype))
+           for n, s in shapes.items()}
+    ref = {n: ParamTensor(n, p.value.copy()) for n, p in new.items()}
+    opt, ref_opt = Adam(**hyper), Adam(**hyper)
+    for _ in range(5):
+        for name, p in new.items():
+            g = (np.zeros(p.value.shape) if name == "zero"
+                 else rng.normal(size=p.value.shape)).astype(dtype)
+            p.grad[...] = g
+            ref[name].grad[...] = g
+        opt.step(list(new.values()))
+        reference_adam_step(ref_opt, list(ref.values()))
+        for name, p in new.items():
+            assert p.value.dtype == dtype
+            assert p.value.tobytes() == ref[name].value.tobytes(), name
+            assert opt._m[name].tobytes() == ref_opt._m[name].tobytes()
+            assert opt._v[name].tobytes() == ref_opt._v[name].tobytes()
+    assert opt.step_count == ref_opt.step_count == 5
 
 
 # -- grad_check harness -------------------------------------------------------
