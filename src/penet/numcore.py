@@ -199,7 +199,7 @@ class MaxPool2d:
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None or self._out is None:
+        if self._out is None:
             raise RuntimeError("backward called before forward")
         # the cache serves one backward; dropping it frees the input before
         # the optimizer step
