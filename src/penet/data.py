@@ -278,18 +278,27 @@ def sample_seed(global_seed: int, epoch: int, sample_index: int) -> int:
 # Text cloud format
 
 
+def _text_lines(path):
+    """(line number, line) pairs of a UTF-8 text file; bytes that do not
+    decode raise FormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield from enumerate(f, start=1)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_part_labels(seg_path, n_points: int) -> np.ndarray:
     """One integer part label per line, one line per point."""
     labels = []
-    with open(seg_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            for tok in line.split():
-                try:
-                    labels.append(int(tok))
-                except ValueError:
-                    raise FormatError(
-                        f"{seg_path}:{lineno}: part label {tok!r} is not an "
-                        f"integer")
+    for lineno, line in _text_lines(seg_path):
+        for tok in line.split():
+            try:
+                labels.append(int(tok))
+            except ValueError:
+                raise FormatError(
+                    f"{seg_path}:{lineno}: part label {tok!r} is not an "
+                    f"integer")
     if len(labels) != n_points:
         raise FormatError(
             f"{seg_path}: {len(labels)} labels for {n_points} points")
@@ -303,24 +312,23 @@ def load_cloud_text(path, seg_path=None) -> PointCloud:
     path = Path(path)
     rows = []
     ncols = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            toks = line.split()
-            if not toks:
-                continue
-            if ncols is None:
-                ncols = len(toks)
-                if ncols not in (3, 6):
-                    raise FormatError(
-                        f"{path}:{lineno}: expected 3 or 6 columns, got {ncols}")
-            elif len(toks) != ncols:
+    for lineno, line in _text_lines(path):
+        toks = line.split()
+        if not toks:
+            continue
+        if ncols is None:
+            ncols = len(toks)
+            if ncols not in (3, 6):
                 raise FormatError(
-                    f"{path}:{lineno}: ragged row, expected {ncols} columns, "
-                    f"got {len(toks)}")
-            try:
-                rows.append([float(t) for t in toks])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric token: {exc}")
+                    f"{path}:{lineno}: expected 3 or 6 columns, got {ncols}")
+        elif len(toks) != ncols:
+            raise FormatError(
+                f"{path}:{lineno}: ragged row, expected {ncols} columns, "
+                f"got {len(toks)}")
+        try:
+            rows.append([float(t) for t in toks])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-numeric token: {exc}")
     if not rows:
         raise EmptyCloudError(f"{path}: no points")
     with np.errstate(over="ignore"):   # beyond float32 becomes inf: rejected
@@ -352,29 +360,28 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     class_names: list[str] = []
     entries: list[tuple[str, int, str | None]] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#classes:"):
-                class_names = [c.strip() for c in
-                               line[len("#classes:"):].split(",") if c.strip()]
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields")
-            try:
-                class_id = int(parts[1])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: class id not an integer")
-            seg = parts[2] if len(parts) == 3 else None
-            cloud_path = path.parent / parts[0]
-            if not cloud_path.exists():
-                raise FormatError(f"{path}:{lineno}: missing file {cloud_path}")
-            if seg is not None and not (path.parent / seg).exists():
-                raise FormatError(f"{path}:{lineno}: missing file {seg}")
-            entries.append((parts[0], class_id, seg))
+    for lineno, line in _text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#classes:"):
+            class_names = [c.strip() for c in
+                           line[len("#classes:"):].split(",") if c.strip()]
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields")
+        try:
+            class_id = int(parts[1])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: class id not an integer")
+        seg = parts[2] if len(parts) == 3 else None
+        cloud_path = path.parent / parts[0]
+        if not cloud_path.exists():
+            raise FormatError(f"{path}:{lineno}: missing file {cloud_path}")
+        if seg is not None and not (path.parent / seg).exists():
+            raise FormatError(f"{path}:{lineno}: missing file {seg}")
+        entries.append((parts[0], class_id, seg))
     return DatasetManifest(root=path.parent, entries=entries,
                            class_names=class_names)
 

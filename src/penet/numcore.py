@@ -68,20 +68,27 @@ class Linear:
 
 
 class ReLU:
+    """max(x, 0) in one branch-free pass; backward gates on the cached
+    output, since out > 0 exactly where x > 0.
+
+    -0.0 maps to +0.0. Inputs are assumed finite: a NaN passes through
+    forward instead of becoming 0.
+    """
+
     def __init__(self):
-        self._mask: np.ndarray | None = None
+        self._out: np.ndarray | None = None
 
     def params(self) -> list[ParamTensor]:
         return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, x.dtype.type(0))
+        self._out = np.maximum(x, x.dtype.type(0))
+        return self._out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._out is None:
             raise RuntimeError("backward called before forward")
-        return dout * self._mask
+        return dout * (self._out > 0)
 
 
 def _im2col(x_pad: np.ndarray, kh: int, kw: int, oh: int, ow: int
@@ -253,7 +260,8 @@ class SGD:
 
     def step(self, params: list[ParamTensor]):
         for p in params:
-            p.value -= (p.value.dtype.type(self.lr) * p.grad).astype(p.value.dtype)
+            p.value -= (p.value.dtype.type(self.lr) * p.grad).astype(
+                p.value.dtype, copy=False)
         self.step_count += 1
 
 
@@ -278,8 +286,10 @@ class Adam:
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
         for p in params:
-            m = self._m.setdefault(p.name, np.zeros_like(p.value))
-            v = self._v.setdefault(p.name, np.zeros_like(p.value))
+            if p.name not in self._m:
+                self._m[p.name] = np.zeros_like(p.value)
+                self._v[p.name] = np.zeros_like(p.value)
+            m, v = self._m[p.name], self._v[p.name]
             g = p.grad
             s = np.multiply(g, 1.0 - b1)
             m *= b1

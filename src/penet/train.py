@@ -234,7 +234,7 @@ def _prepare_batch(clouds: list[PointCloud], n_points: int,
 
 
 def _stack_features(clouds: list[PointCloud]) -> np.ndarray:
-    return np.stack([c.features() for c in clouds]).astype(np.float32)
+    return np.stack([c.features() for c in clouds])
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
                     f"non-finite loss {loss} at epoch {epoch}, batch "
                     f"{b0 // cfg.batch_size} (lr {opt.lr:g})")
             model.zero_grads()
-            model.backward(dflat.reshape(logits.shape).astype(np.float32))
+            model.backward(dflat.reshape(logits.shape))
             opt.step(model.params())
             losses.append(loss)
         train_acc = correct / total

@@ -83,6 +83,14 @@ def argmax_maxpool2d(x, window):
     return out, backward
 
 
+def where_relu(x):
+    """ReLU as np.where on the x > 0 mask. Returns (out, backward);
+    backward(dout) multiplies dout by that mask."""
+    mask = x > 0
+    out = np.where(mask, x, x.dtype.type(0))
+    return out, lambda dout: dout * mask
+
+
 def relu_then_pool_forward(head, grid):
     """ClassHead.forward with each ReLU applied before its pool."""
     h = head.pool1.forward(head.relu1.forward(head.conv1.forward(grid)))
@@ -115,6 +123,14 @@ def reference_adam_step(opt, params):
         mhat = m / (1.0 - opt.beta1 ** t)
         vhat = v / (1.0 - opt.beta2 ** t)
         p.value -= (opt.lr * mhat / (np.sqrt(vhat) + opt.eps)).astype(p.value.dtype)
+
+
+def reference_sgd_step(opt, params):
+    """One SGD step that casts the scaled gradient to the parameter dtype
+    with a copy."""
+    for p in params:
+        p.value -= (p.value.dtype.type(opt.lr) * p.grad).astype(p.value.dtype)
+    opt.step_count += 1
 
 
 def naive_fps(points, n, start=0):

@@ -178,6 +178,14 @@ def test_eval_bad_seg_sidecar(trained_ckpt, tmp_path, capsys):
     assert "c.txt.seg:2:" in _one_line_error(capsys)
 
 
+def test_eval_non_utf8_cloud_names_file(trained_ckpt, tmp_path, capsys):
+    (tmp_path / "c.txt").write_bytes(b"0 0 0 0 0 1\n1 0 0 0 0 \xff\n")
+    (tmp_path / "test.manifest").write_text("c.txt\t0\n")
+    assert main(["eval", "--ckpt", str(trained_ckpt),
+                 "--data", str(tmp_path)]) == 1
+    assert "c.txt: not UTF-8 text" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("command", [["eval"], ["sweep", "--points", "16,32"]])
 def test_empty_split_is_one_line_error(trained_ckpt, tmp_path, capsys,
                                        command):

@@ -441,6 +441,18 @@ def test_manifest_bad_class_id(tmp_path):
         load_manifest(m)
 
 
+@pytest.mark.parametrize("bad", ["cloud", "seg", "manifest"])
+def test_non_utf8_text_is_format_error_naming_file(tmp_path, bad):
+    texts = {"cloud": (tmp_path / "c.txt", b"0 0 0\n1 1 1\n"),
+             "seg": (tmp_path / "c.txt.seg", b"0\n1\n"),
+             "manifest": (tmp_path / "train.manifest", b"c.txt\t0\n")}
+    for name, (path, raw) in texts.items():
+        path.write_bytes(raw + b"\xff\n" if name == bad else raw)
+    bad_path = texts[bad][0]
+    with pytest.raises(FormatError, match=rf"{bad_path.name}: not UTF-8 text"):
+        load_dataset(load_manifest(texts["manifest"][0]))
+
+
 # -- synthetic shapes --------------------------------------------------------------
 
 def test_synth_sphere_and_normals(tmp_path):

@@ -9,7 +9,8 @@ from penet.numcore import (Adam, Conv2d, GradCheckReport, Linear, MaxPool2d,
                            softmax_cross_entropy)
 
 from oracles import (argmax_maxpool2d, naive_conv2d, naive_linear,
-                     naive_maxpool2d, numeric_grad, reference_adam_step)
+                     naive_maxpool2d, numeric_grad, reference_adam_step,
+                     reference_sgd_step, where_relu)
 
 
 def _linear_with(w, b, dtype=np.float64):
@@ -74,6 +75,66 @@ def test_relu_backward_gates_upstream():
     relu.forward(np.array([-1.0, 2.0]))
     np.testing.assert_array_equal(relu.backward(np.array([5.0, 5.0])),
                                   [0.0, 5.0])
+
+
+def _assert_relu_matches_where(x, dout):
+    relu = ReLU()
+    out = relu.forward(x)
+    ref_out, ref_backward = where_relu(x)
+    assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+    dx, ref_dx = relu.backward(dout), ref_backward(dout)
+    assert dx.dtype == ref_dx.dtype and dx.tobytes() == ref_dx.tobytes()
+
+
+def _relu_lattice(dtype, finite=False):
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+               info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0]
+    if not finite:
+        special += [np.inf, -np.inf]
+    return st.sampled_from([dtype(v) for v in special])
+
+
+@st.composite
+def _relu_case(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(0, 70))        # across 4-, 8- and 16-lane widths
+    offset = draw(st.integers(0, 3))
+    step = draw(st.integers(1, 3))
+    elements = _relu_lattice(dtype)
+    if draw(st.booleans()):
+        elements = elements | st.floats(allow_nan=False,
+                                        width=8 * np.dtype(dtype).itemsize)
+    base = draw(hnp.arrays(dtype, offset + n * step, elements=elements))
+    x = base[offset::step][:n]
+    dout = draw(hnp.arrays(dtype, n, elements=_relu_lattice(dtype, True)
+                           | st.floats(-3, 3, width=32)))
+    return x, dout
+
+
+@settings(max_examples=400, deadline=None)
+@given(_relu_case())
+def test_relu_matches_where_oracle_bytewise(case):
+    _assert_relu_matches_where(*case)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_negative_zero_becomes_positive_zero(dtype):
+    for n in range(1, 200):
+        for offset in range(4):
+            for step in (1, 2):
+                x = np.full(offset + n * step, -0.0, dtype)[offset::step]
+                out = ReLU().forward(x)
+                assert not np.signbit(out).any(), (n, offset, step)
+                _assert_relu_matches_where(x, -np.ones(n, dtype))
+
+
+def test_relu_2d_matches_where_oracle():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(37, 19)).astype(np.float32)
+    x[::3, ::2] = -0.0
+    _assert_relu_matches_where(x, rng.normal(size=x.shape).astype(np.float32))
+    _assert_relu_matches_where(x.T, rng.normal(size=x.T.shape).astype(np.float32))
 
 
 def test_backward_before_forward_raises():
@@ -378,6 +439,38 @@ def test_adam_matches_reference_bytewise(dtype, hyper):
             assert p.value.tobytes() == ref[name].value.tobytes(), name
             assert opt._m[name].tobytes() == ref_opt._m[name].tobytes()
             assert opt._v[name].tobytes() == ref_opt._v[name].tobytes()
+    assert opt.step_count == ref_opt.step_count == 5
+
+
+def test_adam_builds_state_once_per_param(monkeypatch):
+    params = [ParamTensor(n, np.ones((3, 2), np.float32)) for n in "ab"]
+    built = []
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like",
+                        lambda a, *args, **kw: built.append(a.shape)
+                        or zeros_like(a, *args, **kw))
+    opt = Adam()
+    for _ in range(3):
+        opt.step(params)
+    assert built == [(3, 2)] * 4        # one m and one v per parameter
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lr", [0.1, 0.037, 3e-4])
+def test_sgd_matches_reference_bytewise(dtype, lr):
+    rng = np.random.default_rng(22)
+    new = [ParamTensor(n, rng.normal(size=s).astype(dtype))
+           for n, s in (("a", (5, 4)), ("b", (7,)), ("c", (2, 3, 3, 3)))]
+    ref = [ParamTensor(p.name, p.value.copy()) for p in new]
+    opt, ref_opt = SGD(lr=lr), SGD(lr=lr)
+    for _ in range(5):
+        for p, r in zip(new, ref):
+            p.grad[...] = r.grad[...] = rng.normal(size=p.value.shape)
+        opt.step(new)
+        reference_sgd_step(ref_opt, ref)
+        for p, r in zip(new, ref):
+            assert p.value.dtype == dtype
+            assert p.value.tobytes() == r.value.tobytes(), p.name
     assert opt.step_count == ref_opt.step_count == 5
 
 

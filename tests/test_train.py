@@ -14,14 +14,15 @@ from penet.errors import (ConfigError, DataError, DimensionError, FormatError,
                           SamplingError)
 from penet.heads import ClassHead
 from penet.models import Classifier, Segmenter
-from penet.numcore import Adam, MaxPool2d
+from penet.numcore import Adam, MaxPool2d, ReLU
 from penet.train import (MetricsReport, TrainConfig, category_parts,
                          evaluate_classification, evaluate_segmentation,
                          load_checkpoint, save_checkpoint, shape_miou,
                          sweep_point_count, train)
 
 from oracles import (argmax_maxpool2d, naive_miou, reference_adam_step,
-                     relu_then_pool_backward, relu_then_pool_forward)
+                     relu_then_pool_backward, relu_then_pool_forward,
+                     where_relu)
 
 # the package re-exports train(), which hides the penet.train module
 train_module = importlib.import_module("penet.train")
@@ -346,16 +347,22 @@ def _argmax_pool_forward(self, x):
     return out
 
 
-def _argmax_pool_backward(self, dout):
+def _where_relu_forward(self, x):
+    out, self._reference_backward = where_relu(x)
+    return out
+
+
+def _reference_backward(self, dout):
     return self._reference_backward(dout)
 
 
 @pytest.mark.parametrize("task", ["classify", "segment"])
 def test_trained_checkpoint_matches_reference_kernels(task, monkeypatch,
                                                       tmp_path):
-    """The strided-view MaxPool2d, the head's pool-before-ReLU order and the
-    in-place Adam train the same bytes as the argmax pool, ReLU-before-pool
-    and whole-array Adam they replace."""
+    """The strided-view MaxPool2d, the head's pool-before-ReLU order, the
+    np.maximum ReLU and the in-place Adam train the same bytes as the argmax
+    pool, ReLU-before-pool, np.where ReLU and whole-array Adam they
+    replace."""
     segment = task == "segment"
     clouds = make_clouds(12, points_each=40, n_classes=3, seed=4,
                          with_parts=segment)
@@ -365,7 +372,7 @@ def test_trained_checkpoint_matches_reference_kernels(task, monkeypatch,
     model, log = train(clouds, cfg, val_clouds=val)
     save_checkpoint(model, tmp_path / "new.ckpt")
 
-    calls = {"pool": 0, "adam": 0}
+    calls = {"pool": 0, "relu": 0, "adam": 0}
 
     def counting_adam_step(opt, params):
         calls["adam"] += 1
@@ -375,15 +382,22 @@ def test_trained_checkpoint_matches_reference_kernels(task, monkeypatch,
         calls["pool"] += 1
         return _argmax_pool_forward(self, x)
 
+    def counting_relu_forward(self, x):
+        calls["relu"] += 1
+        return _where_relu_forward(self, x)
+
     monkeypatch.setattr(ClassHead, "forward", relu_then_pool_forward)
     monkeypatch.setattr(ClassHead, "backward", relu_then_pool_backward)
     monkeypatch.setattr(MaxPool2d, "forward", counting_pool_forward)
-    monkeypatch.setattr(MaxPool2d, "backward", _argmax_pool_backward)
+    monkeypatch.setattr(MaxPool2d, "backward", _reference_backward)
+    monkeypatch.setattr(ReLU, "forward", counting_relu_forward)
+    monkeypatch.setattr(ReLU, "backward", _reference_backward)
     monkeypatch.setattr(Adam, "step", counting_adam_step)
     ref_model, ref_log = train(clouds, cfg, val_clouds=val)
     save_checkpoint(ref_model, tmp_path / "ref.ckpt")
 
     assert calls["adam"] == 9 and (calls["pool"] > 0) != segment
+    assert calls["relu"] > 0
     assert [row[:4] for row in log] == [row[:4] for row in ref_log]
     assert (tmp_path / "new.ckpt").read_bytes() == \
         (tmp_path / "ref.ckpt").read_bytes()
