@@ -91,15 +91,30 @@ class ReLU:
         return dout * (self._out > 0)
 
 
-def _im2col(x_pad: np.ndarray, kh: int, kw: int, oh: int, ow: int
-            ) -> np.ndarray:
-    # (n, c, hp, wp) -> (n, oh, ow, c*kh*kw)
-    win = np.lib.stride_tricks.sliding_window_view(x_pad, (kh, kw), axis=(2, 3))
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(x_pad.shape[0], oh, ow, -1)
-
-
 class Conv2d:
-    """2D cross-correlation with stride 1 and zero padding, NCHW layout."""
+    """2D cross-correlation with stride 1 and zero padding, NCHW layout.
+
+    Lowered to im2col without a strided gather: forward copies x once into
+    a zero-padded channels-last (n, hp, wp, c) buffer and fills the
+    C-contiguous (n, oh, ow, c, k, k) cols one kernel tap at a time, each
+    tap one slice copy, then makes one stacked matmul against the
+    (cout, c*k*k) weight. Backward multiplies dout by that weight and adds
+    each tap's (n, oh, ow, c) block of the product into a channels-last
+    zero buffer, in row-major tap order; dx is an NCHW view of its
+    interior.
+
+    The products keep the operands, layouts and call shapes of the
+    gather-based kernel in tests/oracles.py, and every sum its order, so
+    the output and all gradients are bit-identical to it: BLAS rounds a
+    product differently when its operands' layout or column order change.
+    The exceptions are the shapes where the gather kernel's cols is a
+    strided view of x, not a copy: a 1x1 kernel, or an output one column
+    wide over one channel or one row. There the output and the weight
+    gradient agree to rounding. ClassHead has none of these shapes.
+
+    The cache serves one backward, which drops it, so the cols are freed
+    before the optimizer step.
+    """
 
     def __init__(self, cin: int, cout: int, ksize: int, rng: np.random.Generator,
                  pad: int = 0, name: str = "conv", dtype=np.float32):
@@ -111,7 +126,6 @@ class Conv2d:
             f"{name}.w", glorot_uniform(rng, fan_in, fan_out, (cout, cin, ksize, ksize), dtype))
         self.b = ParamTensor(f"{name}.b", np.zeros(cout, dtype=dtype))
         self._cols: np.ndarray | None = None
-        self._xshape: tuple[int, ...] | None = None
 
     def params(self) -> list[ParamTensor]:
         return [self.w, self.b]
@@ -129,36 +143,39 @@ class Conv2d:
         if x.ndim != 4 or x.shape[1] != self.cin:
             raise DimensionError(
                 f"conv expects (n, {self.cin}, h, w), got {x.shape}")
-        n, _, h, w = x.shape
+        n, c, h, w = x.shape
         oh, ow = self._out_hw(h, w)
-        p = self.pad
-        x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = _im2col(x_pad, self.ksize, self.ksize, oh, ow)
+        k, p = self.ksize, self.pad
+        xt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xt[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+        cols = np.empty((n, oh, ow, c, k, k), dtype=x.dtype)
+        for u in range(k):
+            for v in range(k):
+                cols[..., u, v] = xt[:, u:u + oh, v:v + ow]
+        cols = cols.reshape(n, oh, ow, c * k * k)
         self._cols = cols
-        self._xshape = x.shape
-        wmat = self.w.value.reshape(self.cout, -1)       # (cout, cin*k*k)
-        out = cols @ wmat.T + self.b.value               # (n, oh, ow, cout)
+        out = cols @ self.w.value.reshape(self.cout, -1).T   # (n, oh, ow, cout)
+        out += self.b.value
         return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._xshape is None:
+        if self._cols is None:
             raise RuntimeError("backward called before forward")
-        n, _, h, w = self._xshape
-        k, p = self.ksize, self.pad
-        _, _, oh, ow = dout.shape
-        d = dout.transpose(0, 2, 3, 1)                   # (n, oh, ow, cout)
-        cols_flat = self._cols.reshape(-1, self._cols.shape[-1])
-        d_flat = d.reshape(-1, self.cout)
-        self.w.grad += (d_flat.T @ cols_flat).reshape(self.w.value.shape)
+        cols, self._cols = self._cols, None
+        n, oh, ow, ckk = cols.shape
+        c, k, p = self.cin, self.ksize, self.pad
+        h, w = oh + k - 1 - 2 * p, ow + k - 1 - 2 * p
+        d_flat = dout.transpose(0, 2, 3, 1).reshape(-1, self.cout)
+        self.w.grad += (d_flat.T @ cols.reshape(-1, ckk)).reshape(
+            self.w.value.shape)
         self.b.grad += d_flat.sum(axis=0)
         dcols = (d_flat @ self.w.value.reshape(self.cout, -1)).reshape(
-            n, oh, ow, self.cin, k, k)
-        dx_pad = np.zeros((n, self.cin, h + 2 * p, w + 2 * p), dtype=dout.dtype)
+            n, oh, ow, c, k, k)
+        dxt = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dout.dtype)
         for u in range(k):
             for v in range(k):
-                dx_pad[:, :, u:u + oh, v:v + ow] += \
-                    dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-        return dx_pad[:, :, p:p + h, p:p + w] if p else dx_pad
+                dxt[:, u:u + oh, v:v + ow] += dcols[..., u, v]
+        return dxt[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
 
 
 class MaxPool2d:

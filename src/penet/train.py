@@ -51,6 +51,11 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not 1 <= self.encoder_depth <= 5:
             raise ConfigError("encoder_depth must be 1..5")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("n_points", 1),
+                          ("lr_step", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -43,6 +43,34 @@ def naive_conv2d(x, kernels, b, stride, pad):
     return out
 
 
+def gather_conv2d(x, w, b, pad):
+    """Stride-1 convolution by im2col over a sliding_window_view gather.
+    Returns (out, backward); backward(dout) returns (dx, dw, db), with dx
+    scattered into a zero NCHW buffer tap by tap in (u, v) order."""
+    n, c, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    oh, ow = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
+    x_pad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh, ow, -1)
+    wmat = w.reshape(cout, -1)
+    out = np.ascontiguousarray((cols @ wmat.T + b).transpose(0, 3, 1, 2))
+
+    def backward(dout):
+        d_flat = dout.transpose(0, 2, 3, 1).reshape(-1, cout)
+        dw = (d_flat.T @ cols.reshape(-1, cols.shape[-1])).reshape(w.shape)
+        db = d_flat.sum(axis=0)
+        dcols = (d_flat @ wmat).reshape(n, oh, ow, c, k, k)
+        dx_pad = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=dout.dtype)
+        for u in range(k):
+            for v in range(k):
+                dx_pad[:, :, u:u + oh, v:v + ow] += \
+                    dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+        return dx_pad[:, :, pad:pad + h, pad:pad + wd], dw, db
+
+    return out, backward
+
+
 def naive_maxpool2d(x, window, stride):
     n, c, h, w = x.shape
     oh = (h - window) // stride + 1

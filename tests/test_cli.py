@@ -246,6 +246,31 @@ def test_config_unknown_key_rejected(tmp_path):
         build_train_config(str(cfile), [], None)
 
 
+def test_config_file_not_utf8_names_file(synth_dir, tmp_path, capsys):
+    cfile = tmp_path / "run.cfg"
+    cfile.write_bytes(b"epochs=1\nlr=\xff\n")
+    with pytest.raises(ConfigError, match="run.cfg: not UTF-8 text"):
+        build_train_config(str(cfile), [], None)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(cfile), "--data", str(synth_dir),
+                 "--out", str(ckpt)]) == 1
+    assert "run.cfg: not UTF-8 text" in _one_line_error(capsys)
+    assert not ckpt.exists()
+
+
+def test_train_out_of_range_integers_are_one_line_errors(synth_dir, tmp_path,
+                                                         capsys):
+    ckpt = tmp_path / "m.ckpt"
+    for item in ("batch_size=0", "lr_step=-1", "epochs=0"):
+        assert main(["train", "--data", str(synth_dir), "--out", str(ckpt),
+                     "--set", item]) == 1
+        field, _, value = item.partition("=")
+        err = _one_line_error(capsys)
+        assert err.startswith(f"error: {field} must be >= ")
+        assert err.endswith(f"got {value}\n")
+        assert not ckpt.exists() and not ckpt.with_suffix(".log.csv").exists()
+
+
 def test_config_scale_range_parse():
     cfg = build_train_config(None, ["augment.scale_range=0.9,1.1"], None)
     assert cfg.augment.scale_range == (0.9, 1.1)

@@ -8,9 +8,10 @@ from penet.numcore import (Adam, Conv2d, GradCheckReport, Linear, MaxPool2d,
                            ParamTensor, ReLU, SGD, grad_check,
                            softmax_cross_entropy)
 
-from oracles import (argmax_maxpool2d, naive_conv2d, naive_linear,
-                     naive_maxpool2d, numeric_grad, reference_adam_step,
-                     reference_sgd_step, where_relu)
+from oracles import (argmax_maxpool2d, gather_conv2d, naive_conv2d,
+                     naive_linear, naive_maxpool2d, numeric_grad,
+                     reference_adam_step, reference_sgd_step, rel_err,
+                     where_relu)
 
 
 def _linear_with(w, b, dtype=np.float64):
@@ -175,6 +176,68 @@ def test_conv_kernel_larger_than_input_raises():
     conv = Conv2d(1, 1, 5, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         conv.forward(np.zeros((1, 1, 3, 3), dtype=np.float32))
+
+
+def _with_zeros(rng, a):
+    """a with about a fifth of its entries +0.0 and a fifth -0.0."""
+    r = rng.random(a.shape)
+    a[r < 0.4] = -0.0
+    a[r < 0.2] = 0.0
+    return a
+
+
+@st.composite
+def _conv_case(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    k, pad = draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    low = max(1, k - 2 * pad)           # the smallest extent with an output
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 16)),
+             draw(st.integers(low, low + 6)), draw(st.integers(low, low + 6)))
+    return dtype, shape, draw(st.integers(1, 32)), k, pad, \
+        draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conv_case())
+def test_conv_matches_gather_oracle_bytewise(case):
+    dtype, shape, cout, k, pad, seed = case
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(shape[1], cout, k, rng, pad=pad, dtype=dtype)
+    conv.b.value[...] = rng.normal(size=cout)
+    x = _with_zeros(rng, rng.normal(size=shape).astype(dtype))
+    out = conv.forward(x)
+    ref_out, ref_backward = gather_conv2d(x, conv.w.value, conv.b.value, pad)
+    dout = _with_zeros(rng, rng.normal(size=out.shape).astype(dtype))
+    w_grad0 = rng.normal(size=conv.w.grad.shape).astype(dtype)
+    b_grad0 = rng.normal(size=cout).astype(dtype)
+    conv.w.grad[...], conv.b.grad[...] = w_grad0, b_grad0
+    dx = conv.backward(dout)
+    ref_dx, ref_dw, ref_db = ref_backward(dout)
+    assert out.dtype == dx.dtype == dtype and dx.shape == x.shape
+    assert dx.tobytes() == ref_dx.tobytes()
+    assert conv.b.grad.tobytes() == (b_grad0 + ref_db).tobytes()
+    pairs = [(out, ref_out), (conv.w.grad, w_grad0 + ref_dw)]
+    oh, ow = out.shape[2:]
+    if k == 1 or (ow == 1 and (shape[1] == 1 or oh == 1)):
+        # here the gather kernel's reshape merges the window axes, so its
+        # cols is a strided view of x, not a copy, and BLAS may round its
+        # products differently
+        tol = 1e-4 if dtype == np.float32 else 1e-12
+        assert all(rel_err(a, b) < tol for a, b in pairs)
+    else:
+        assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+def test_conv_backward_drops_its_cache():
+    rng = np.random.default_rng(2)
+    conv = Conv2d(2, 3, 3, rng, pad=1)
+    with pytest.raises(RuntimeError):
+        conv.backward(np.ones((1, 3, 4, 4), dtype=np.float32))
+    out = conv.forward(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
+    conv.backward(np.ones_like(out))
+    assert conv._cols is None
+    with pytest.raises(RuntimeError):
+        conv.backward(np.ones_like(out))
 
 
 # -- maxpool ----------------------------------------------------------------

@@ -14,15 +14,15 @@ from penet.errors import (ConfigError, DataError, DimensionError, FormatError,
                           SamplingError)
 from penet.heads import ClassHead
 from penet.models import Classifier, Segmenter
-from penet.numcore import Adam, MaxPool2d, ReLU
+from penet.numcore import Adam, Conv2d, MaxPool2d, ReLU
 from penet.train import (MetricsReport, TrainConfig, category_parts,
                          evaluate_classification, evaluate_segmentation,
                          load_checkpoint, save_checkpoint, shape_miou,
                          sweep_point_count, train)
 
-from oracles import (argmax_maxpool2d, naive_miou, reference_adam_step,
-                     relu_then_pool_backward, relu_then_pool_forward,
-                     where_relu)
+from oracles import (argmax_maxpool2d, gather_conv2d, naive_miou,
+                     reference_adam_step, relu_then_pool_backward,
+                     relu_then_pool_forward, where_relu)
 
 # the package re-exports train(), which hides the penet.train module
 train_module = importlib.import_module("penet.train")
@@ -325,6 +325,20 @@ def _tiny_cfg(**kw):
     return TrainConfig(**base)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("epochs", -3), ("batch_size", 0), ("batch_size", -1),
+    ("n_points", 0), ("lr_step", -1)])
+def test_config_rejects_out_of_range_integers(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be >= "):
+        _tiny_cfg(**{field: value})
+
+
+def test_config_accepts_lowest_in_range_integers():
+    cfg = _tiny_cfg(epochs=1, batch_size=1, n_points=1, lr_step=0)
+    assert (cfg.epochs, cfg.batch_size, cfg.n_points, cfg.lr_step) == \
+        (1, 1, 1, 0)
+
+
 def test_train_smoke_finite_loss():
     clouds = make_clouds(8)
     model, log = train(clouds, _tiny_cfg())
@@ -356,13 +370,26 @@ def _reference_backward(self, dout):
     return self._reference_backward(dout)
 
 
+def _gather_conv_forward(self, x):
+    out, self._reference_backward = gather_conv2d(x, self.w.value,
+                                                  self.b.value, self.pad)
+    return out
+
+
+def _gather_conv_backward(self, dout):
+    dx, dw, db = self._reference_backward(dout)
+    self.w.grad += dw
+    self.b.grad += db
+    return dx
+
+
 @pytest.mark.parametrize("task", ["classify", "segment"])
 def test_trained_checkpoint_matches_reference_kernels(task, monkeypatch,
                                                       tmp_path):
-    """The strided-view MaxPool2d, the head's pool-before-ReLU order, the
-    np.maximum ReLU and the in-place Adam train the same bytes as the argmax
-    pool, ReLU-before-pool, np.where ReLU and whole-array Adam they
-    replace."""
+    """The tap-by-tap Conv2d, the strided-view MaxPool2d, the head's
+    pool-before-ReLU order, the np.maximum ReLU and the in-place Adam train
+    the same bytes as the gather conv, argmax pool, ReLU-before-pool,
+    np.where ReLU and whole-array Adam they replace."""
     segment = task == "segment"
     clouds = make_clouds(12, points_each=40, n_classes=3, seed=4,
                          with_parts=segment)
@@ -372,7 +399,7 @@ def test_trained_checkpoint_matches_reference_kernels(task, monkeypatch,
     model, log = train(clouds, cfg, val_clouds=val)
     save_checkpoint(model, tmp_path / "new.ckpt")
 
-    calls = {"pool": 0, "relu": 0, "adam": 0}
+    calls = {"conv": 0, "pool": 0, "relu": 0, "adam": 0}
 
     def counting_adam_step(opt, params):
         calls["adam"] += 1
@@ -386,8 +413,14 @@ def test_trained_checkpoint_matches_reference_kernels(task, monkeypatch,
         calls["relu"] += 1
         return _where_relu_forward(self, x)
 
+    def counting_conv_forward(self, x):
+        calls["conv"] += 1
+        return _gather_conv_forward(self, x)
+
     monkeypatch.setattr(ClassHead, "forward", relu_then_pool_forward)
     monkeypatch.setattr(ClassHead, "backward", relu_then_pool_backward)
+    monkeypatch.setattr(Conv2d, "forward", counting_conv_forward)
+    monkeypatch.setattr(Conv2d, "backward", _gather_conv_backward)
     monkeypatch.setattr(MaxPool2d, "forward", counting_pool_forward)
     monkeypatch.setattr(MaxPool2d, "backward", _reference_backward)
     monkeypatch.setattr(ReLU, "forward", counting_relu_forward)
@@ -397,6 +430,7 @@ def test_trained_checkpoint_matches_reference_kernels(task, monkeypatch,
     save_checkpoint(ref_model, tmp_path / "ref.ckpt")
 
     assert calls["adam"] == 9 and (calls["pool"] > 0) != segment
+    assert (calls["conv"] > 0) != segment
     assert calls["relu"] > 0
     assert [row[:4] for row in log] == [row[:4] for row in ref_log]
     assert (tmp_path / "new.ckpt").read_bytes() == \
