@@ -123,9 +123,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_points(args, model) -> int:
-    if args.points is not None:
-        return args.points
+def _point_count(token: str) -> int:
+    """One --points value, checked before anything is loaded."""
+    try:
+        n = int(token)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(
+            f"--points: {token.strip()!r} is not a point count (an integer "
+            f">= 1)")
+    return n
+
+
+def _train_points(model) -> int:
     n = model.extra_meta.get("train_points")
     if n is None:
         raise ConfigError("checkpoint lacks train_points; pass --points")
@@ -133,9 +144,11 @@ def _eval_points(args, model) -> int:
 
 
 def cmd_eval(args) -> int:
+    n = None if args.points is None else _point_count(args.points)
     model = load_checkpoint(args.ckpt)
     clouds = load_dataset(load_manifest(_find_manifest(Path(args.data), args.split)))
-    n = _eval_points(args, model)
+    if n is None:
+        n = _train_points(model)
     if model.task == "classify":
         if any(c.class_label is None for c in clouds):
             raise ConfigError("classification checkpoint needs labeled clouds")
@@ -159,7 +172,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    counts = [int(t) for t in args.points.split(",") if t.strip()]
+    counts = [_point_count(t) for t in args.points.split(",") if t.strip()]
     if not counts:
         print("usage error: --points list is empty", file=sys.stderr)
         return 2
@@ -240,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", default=None,
+                   help="test point count (default: the training count)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="accuracy across test point counts")

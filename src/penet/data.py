@@ -7,7 +7,8 @@ and is converted to 3D clouds by sampling non-zero pixels.
 
 ``farthest_point_sample`` samples one cloud or a whole batch in one call;
 ``canonical_start`` gives the start that makes the sample independent of
-the order of a cloud's rows.
+the order of a cloud's rows. ``normalize_batch`` centers and scales a
+batch of equal-length clouds as one array.
 """
 
 from __future__ import annotations
@@ -156,6 +157,14 @@ def mnist_to_pointcloud(image: np.ndarray, n_points: int = 5000,
 # Sampling and normalization
 
 
+def check_sample_count(clouds, n: int):
+    """Raise SamplingError unless every cloud holds at least n >= 1 points."""
+    for cloud in clouds:
+        if not 1 <= n <= len(cloud):
+            raise SamplingError(
+                f"cannot sample {n} points from a cloud of {len(cloud)}")
+
+
 def farthest_point_sample(clouds, n: int, start=0):
     """Greedy FPS: repeatedly take the point farthest from the chosen set.
 
@@ -177,10 +186,7 @@ def farthest_point_sample(clouds, n: int, start=0):
     if isinstance(clouds, PointCloud):
         return farthest_point_sample([clouds], n, [start])[0]
     clouds = list(clouds)
-    for cloud in clouds:
-        if not 1 <= n <= len(cloud):
-            raise SamplingError(
-                f"cannot sample {n} points from a cloud of {len(cloud)}")
+    check_sample_count(clouds, n)
     starts = np.broadcast_to(np.asarray(start, dtype=np.int64), len(clouds))
     by_length: dict[int, list[int]] = {}
     for j, cloud in enumerate(clouds):
@@ -240,13 +246,29 @@ def canonical_start(cloud: PointCloud) -> int:
     return int(rows[0])
 
 
+def normalize_batch(points: np.ndarray) -> np.ndarray:
+    """Center each cloud of a points-major (N, bs, 3) float32 stack on its
+    centroid and scale its farthest point to distance 1, in place; a cloud
+    whose points all coincide is only centered. Returns ``points``.
+
+    Points-major keeps numpy's row-by-row sum for each cloud's mean, the
+    order of ``(N, 3).mean(axis=0)``, while the inner loop runs over the
+    whole batch. A radius is the root of the largest (x² + y²) + z², the
+    float32 order of ``np.linalg.norm(pts, axis=1)``; the root is
+    monotonic, so this equals the largest norm.
+    """
+    points -= points.mean(axis=0)
+    sq = points * points
+    radius = np.sqrt((sq[..., 0] + sq[..., 1] + sq[..., 2]).max(axis=0))
+    radius[radius == 0] = 1
+    points /= radius[:, None]
+    return points
+
+
 def zero_mean_normalize(cloud: PointCloud) -> PointCloud:
     """Center on the centroid and scale the farthest point to distance 1."""
-    pts = cloud.points - cloud.points.mean(axis=0)
-    radius = float(np.linalg.norm(pts, axis=1).max())
-    if radius > 0:
-        pts = pts / radius
-    return PointCloud(pts, normals=cloud.normals,
+    pts = normalize_batch(cloud.points[:, None].copy())
+    return PointCloud(pts[:, 0], normals=cloud.normals,
                       part_labels=cloud.part_labels,
                       class_label=cloud.class_label)
 

@@ -2,8 +2,12 @@
 
 Training, evaluation and the point-count sweep prepare every batch the
 same way (``_prepare_batch``): one ``farthest_point_sample`` call for the
-clouds that need sampling, each starting at its ``canonical_start``, then
-centering and scaling.
+clouds that need sampling, each starting at its ``canonical_start`` and
+taken to the largest requested count below its size; every smaller count
+is a row prefix of that sample, because greedy FPS picks its first n
+points the same whatever it goes on to pick. Each count's batch is then
+centered and scaled as one array. The sweep prepares each batch once and
+runs the model at every count before it moves to the next batch.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (AugmentConfig, PointCloud, augment, canonical_start,
-                   farthest_point_sample, sample_seed, zero_mean_normalize)
+                   check_sample_count, farthest_point_sample,
+                   normalize_batch, sample_seed)
 from .errors import ConfigError, DataError, FormatError
 from .heads import predict
 from .models import Classifier, Segmenter
@@ -217,29 +222,36 @@ def load_checkpoint(path):
 # Batch assembly
 
 
-def _prepare_batch(clouds: list[PointCloud], n_points: int,
-                   cache: dict | None = None) -> list[PointCloud]:
-    """FPS to a fixed size, then center and scale to the unit sphere.
+def _prepare_batch(clouds: list[PointCloud], counts: list[int]):
+    """For each count in turn, (x, part labels): the (bs, n, din) float32
+    model input, centered and scaled to the unit sphere, and each cloud's
+    n part labels (None for a cloud without them).
 
-    Every cloud that needs sampling goes through one farthest_point_sample
-    call, starting at its lexicographically smallest feature row, so the
-    sampled subset does not depend on the order of the rows in its file.
-    That is deterministic, so results are cached per (cloud, n) when a
-    cache dict is supplied; a batch samples only its cache misses.
+    The caller has checked every count against every cloud
+    (``check_sample_count``) and that the clouds share one din. A cloud
+    larger than some count is sampled to the largest count below its
+    size, in one farthest_point_sample call for the batch, starting at its
+    lexicographically smallest feature row, so the subset kept does not
+    depend on the order of the rows in its file. A cloud in a batch with
+    larger clouds may be sampled further than it needs. Smaller counts
+    take a row prefix of the sample; a count equal to a cloud's size takes
+    the cloud's rows as they are.
     """
-    cache = {} if cache is None else cache
-    misses = {id(c): c for c in clouds if (id(c), n_points) not in cache}
-    to_sample = [c for c in misses.values() if len(c) != n_points]
+    to_sample = [c for c in clouds if any(n < len(c) for n in counts)]
+    sampled = {}
     if to_sample:
-        misses.update(zip(map(id, to_sample), farthest_point_sample(
-            to_sample, n_points, [canonical_start(c) for c in to_sample])))
-    for key, cloud in misses.items():
-        cache[key, n_points] = zero_mean_normalize(cloud)
-    return [cache[id(c), n_points] for c in clouds]
-
-
-def _stack_features(clouds: list[PointCloud]) -> np.ndarray:
-    return np.stack([c.features() for c in clouds])
+        size = max(max(n for n in counts if n < len(c)) for c in to_sample)
+        sampled = dict(zip(map(id, to_sample), farthest_point_sample(
+            to_sample, size, [canonical_start(c) for c in to_sample])))
+    for n in counts:
+        rows = [c if len(c) == n else sampled[id(c)] for c in clouds]
+        pts = normalize_batch(np.stack([c.points[:n] for c in rows], axis=1))
+        x = np.empty((len(rows), n, rows[0].din), dtype=np.float32)
+        x[:, :, :3] = pts.transpose(1, 0, 2)
+        if rows[0].normals is not None:
+            x[:, :, 3:] = np.stack([c.normals[:n] for c in rows])
+        yield x, [None if c.part_labels is None else c.part_labels[:n]
+                  for c in rows]
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +267,8 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     augment with a copy of cfg.augment whose seed is derived from
     (cfg.seed, epoch, sample index) so the run is reproducible regardless
     of iteration order. FPS runs once per batch in the first epoch; later
-    epochs reuse the cached samples.
+    epochs reuse the cached samples. Every training and validation cloud
+    is checked against cfg.n_points before the first batch.
     """
     if not clouds:
         raise ConfigError("empty training set")
@@ -280,6 +293,7 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     model = model_cls(din, n_out, k=cfg.k, depth=cfg.encoder_depth,
                       seed=cfg.seed)
     model.extra_meta["train_points"] = cfg.n_points
+    check_sample_count(clouds + val_clouds, cfg.n_points)
     opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else SGD(lr=cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(0xB0,)))
@@ -296,11 +310,17 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
         total = 0
         for b0 in range(0, len(order), cfg.batch_size):
             idxs = order[b0:b0 + cfg.batch_size]
-            prepared = _prepare_batch([clouds[i] for i in idxs],
-                                      cfg.n_points, fps_cache)
-            batch = [augment(c, replace(cfg.augment, seed=sample_seed(
-                cfg.seed, epoch, int(i)))) for c, i in zip(prepared, idxs)]
-            x = _stack_features(batch)
+            misses = [clouds[i] for i in idxs if id(clouds[i]) not in fps_cache]
+            if misses:
+                x, parts = next(_prepare_batch(misses, [cfg.n_points]))
+                for c, row, p in zip(misses, x, parts):
+                    fps_cache[id(c)] = PointCloud(
+                        row[:, :3], normals=row[:, 3:] if din == 6 else None,
+                        part_labels=p, class_label=c.class_label)
+            batch = [augment(fps_cache[id(clouds[i])], replace(
+                cfg.augment, seed=sample_seed(cfg.seed, epoch, int(i))))
+                for i in idxs]
+            x = np.stack([c.features() for c in batch])
             logits = model.forward(x)
             y = np.hstack([label_of(c) for c in batch])
             flat = logits.reshape(-1, logits.shape[-1])
@@ -335,38 +355,51 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
 # Evaluation
 
 
-def _infer_batches(model, clouds: list[PointCloud], n_points: int,
-                   batch_size: int = 32):
-    """(prepared clouds, logits) for each batch of up to batch_size."""
+def _eval_batches(model, clouds: list[PointCloud], counts: list[int],
+                  batch_size: int = 32):
+    """(count, clouds, part labels, logits) for each batch of up to
+    batch_size clouds at each count, batch by batch. Every cloud is
+    checked against every count before anything is sampled."""
     if not clouds:
         raise DataError("no clouds to evaluate")
+    if any(c.din != clouds[0].din for c in clouds):
+        raise DataError("mixed clouds with and without normals")
+    for n in counts:
+        check_sample_count(clouds, n)
     for b0 in range(0, len(clouds), batch_size):
-        prepared = _prepare_batch(clouds[b0:b0 + batch_size], n_points)
-        yield prepared, model.forward(_stack_features(prepared))
+        batch = clouds[b0:b0 + batch_size]
+        for n, (x, parts) in zip(counts, _prepare_batch(batch, counts)):
+            yield n, batch, parts, model.forward(x)
+
+
+def _classification_reports(model, clouds: list[PointCloud],
+                            counts: list[int]) -> dict[int, MetricsReport]:
+    """evaluate_classification's report for each of the distinct counts,
+    from one pass over the batches."""
+    t0 = time.perf_counter()
+    totals: dict[int, dict[int, int]] = {n: {} for n in counts}
+    hits: dict[int, dict[int, int]] = {n: {} for n in counts}
+    for n, batch, _, logits in _eval_batches(model, clouds, counts):
+        total, hit = totals[n], hits[n]
+        for cloud, pred in zip(batch, predict(logits)):
+            y = cloud.class_label
+            total[y] = total.get(y, 0) + 1
+            if pred == y:
+                hit[y] = hit.get(y, 0) + 1
+    seconds = time.perf_counter() - t0
+    return {n: MetricsReport(
+        instance_accuracy=sum(hits[n].values()) / len(clouds),
+        class_accuracy=float(np.mean([hits[n].get(c, 0) / t
+                                      for c, t in totals[n].items()])),
+        per_class_counts=totals[n],
+        seconds=seconds) for n in counts}
 
 
 def evaluate_classification(model, clouds: list[PointCloud],
                             n_test_points: int) -> MetricsReport:
     """Instance accuracy plus macro-averaged per-class accuracy."""
-    t0 = time.perf_counter()
-    per_class_total: dict[int, int] = {}
-    per_class_correct: dict[int, int] = {}
-    correct = 0
-    for prepared, logits in _infer_batches(model, clouds, n_test_points):
-        for cloud, pred in zip(prepared, predict(logits)):
-            y = cloud.class_label
-            per_class_total[y] = per_class_total.get(y, 0) + 1
-            if pred == y:
-                per_class_correct[y] = per_class_correct.get(y, 0) + 1
-                correct += 1
-    instance = correct / len(clouds)
-    class_accs = [per_class_correct.get(c, 0) / t
-                  for c, t in per_class_total.items()]
-    return MetricsReport(
-        instance_accuracy=instance,
-        class_accuracy=float(np.mean(class_accs)),
-        per_class_counts=per_class_total,
-        seconds=time.perf_counter() - t0)
+    return _classification_reports(model, clouds,
+                                   [n_test_points])[n_test_points]
 
 
 def shape_miou(gt: np.ndarray, pred: np.ndarray, parts) -> float:
@@ -402,10 +435,9 @@ def evaluate_segmentation(model, clouds: list[PointCloud], n_points: int,
     all_scores = []
     correct = 0
     total = 0
-    for prepared, logits in _infer_batches(model, clouds, n_points):
-        for cloud, cloud_logits in zip(prepared, logits):
+    for _, batch, labels, logits in _eval_batches(model, clouds, [n_points]):
+        for cloud, gt, cloud_logits in zip(batch, labels, logits):
             parts = parts_by_category.get(cloud.class_label)
-            gt = cloud.part_labels
             if parts is None or any(l not in parts for l in np.unique(gt)):
                 raise DataError(
                     f"ground-truth part label outside category "
@@ -426,11 +458,13 @@ def evaluate_segmentation(model, clouds: list[PointCloud], n_points: int,
 
 def sweep_point_count(model, clouds: list[PointCloud], counts: list[int],
                       out_csv=None) -> list[tuple[int, float, float]]:
-    """evaluate_classification per point count; returns (n, inst, class) rows."""
-    rows = []
-    for n in counts:
-        report = evaluate_classification(model, clouds, n)
-        rows.append((n, report.instance_accuracy, report.class_accuracy))
+    """evaluate_classification at each point count, in the given order;
+    returns (n, inst, class) rows. Each batch is sampled once, for every
+    count, and a repeated count is evaluated once."""
+    reports = _classification_reports(model, clouds,
+                                      list(dict.fromkeys(counts)))
+    rows = [(n, reports[n].instance_accuracy, reports[n].class_accuracy)
+            for n in counts]
     if out_csv is not None:
         lines = ["n_points,instance_acc,class_acc"]
         lines += [f"{n},{i:.6f},{c:.6f}" for n, i, c in rows]

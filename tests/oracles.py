@@ -6,6 +6,10 @@ ignoring how the package computes the same quantities.
 
 import numpy as np
 
+from penet.data import PointCloud, canonical_start, farthest_point_sample
+from penet.heads import predict
+from penet.train import MetricsReport, category_parts, shape_miou
+
 
 def naive_linear(x, w, b):
     n, din = x.shape
@@ -264,3 +268,92 @@ def concat_seg_head(head, local, glob, dlogits):
         g = g @ layer.w.value.T
     g = g.reshape(bs, n, k + d)
     return logits, g[:, :, k:], g[:, :, :k].sum(axis=1), grads
+
+
+# -- evaluation as the per-count, per-cloud pipeline ---------------------------
+# The sweep used to evaluate one count at a time, sampling every batch
+# afresh for each count and building a centered PointCloud per cloud; these
+# keep that pipeline as the reference the batch-major path must match byte
+# for byte. They sample with the package's FPS, which has its own oracle.
+
+
+def reference_zero_mean_normalize(cloud):
+    """Center one cloud on its (N, 3) column mean and divide by the largest
+    np.linalg.norm, unless that is 0."""
+    pts = cloud.points - cloud.points.mean(axis=0)
+    radius = float(np.linalg.norm(pts, axis=1).max())
+    if radius > 0:
+        pts = pts / radius
+    return PointCloud(pts, normals=cloud.normals,
+                      part_labels=cloud.part_labels,
+                      class_label=cloud.class_label)
+
+
+def reference_prepare_batch(clouds, n):
+    """One FPS call for the clouds not already of size n, each from its
+    canonical start, then one reference_zero_mean_normalize per cloud."""
+    to_sample = [c for c in clouds if len(c) != n]
+    sampled = {}
+    if to_sample:
+        sampled = dict(zip(map(id, to_sample), farthest_point_sample(
+            to_sample, n, [canonical_start(c) for c in to_sample])))
+    return [reference_zero_mean_normalize(sampled.get(id(c), c))
+            for c in clouds]
+
+
+def reference_eval_batches(model, clouds, n, batch_size=32):
+    """(prepared clouds, logits) per batch, the input stacked from each
+    prepared cloud's features."""
+    for b0 in range(0, len(clouds), batch_size):
+        prepared = reference_prepare_batch(clouds[b0:b0 + batch_size], n)
+        yield prepared, model.forward(
+            np.stack([c.features() for c in prepared]))
+
+
+def reference_classification(model, clouds, n):
+    """evaluate_classification's MetricsReport, seconds left at 0."""
+    total, hit = {}, {}
+    for prepared, logits in reference_eval_batches(model, clouds, n):
+        for cloud, pred in zip(prepared, predict(logits)):
+            y = cloud.class_label
+            total[y] = total.get(y, 0) + 1
+            if pred == y:
+                hit[y] = hit.get(y, 0) + 1
+    return MetricsReport(
+        instance_accuracy=sum(hit.values()) / len(clouds),
+        class_accuracy=float(np.mean([hit.get(c, 0) / t
+                                      for c, t in total.items()])),
+        per_class_counts=total)
+
+
+def reference_segmentation(model, clouds, n):
+    """evaluate_segmentation's MetricsReport, seconds left at 0, with the
+    part sets taken from the clouds' ground truth."""
+    parts_by_category = category_parts(clouds)
+    scores, all_scores, correct, total = {}, [], 0, 0
+    for prepared, logits in reference_eval_batches(model, clouds, n):
+        for cloud, cloud_logits in zip(prepared, logits):
+            pred = predict(cloud_logits)
+            score = shape_miou(cloud.part_labels, pred,
+                               parts_by_category[cloud.class_label])
+            scores.setdefault(cloud.class_label, []).append(score)
+            all_scores.append(score)
+            correct += int((pred == cloud.part_labels).sum())
+            total += len(pred)
+    return MetricsReport(
+        instance_accuracy=correct / total,
+        per_category_miou={c: float(np.mean(s)) for c, s in scores.items()},
+        mean_miou=float(np.mean(all_scores)))
+
+
+def reference_sweep(model, clouds, counts, out_csv=None):
+    """sweep_point_count one count at a time, in the given order."""
+    rows = []
+    for n in counts:
+        report = reference_classification(model, clouds, n)
+        rows.append((n, report.instance_accuracy, report.class_accuracy))
+    if out_csv is not None:
+        lines = ["n_points,instance_acc,class_acc"]
+        lines += [f"{n},{i:.6f},{c:.6f}" for n, i, c in rows]
+        out_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return rows

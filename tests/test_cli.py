@@ -110,6 +110,21 @@ def test_sweep_empty_points(trained_ckpt, synth_dir, tmp_path, capsys):
                  "--points", ",", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+@pytest.mark.parametrize("command, points, token", [
+    (command, token, token) for command in ("eval", "sweep")
+    for token in ("abc", "0", "-4")] + [("sweep", "16, x1", "x1")])
+def test_bad_points_named_before_loading(tmp_path, capsys, command, points,
+                                         token):
+    # nothing exists at --ckpt or --data, so any loading would fail first
+    argv = [command, "--ckpt", str(tmp_path / "missing.ckpt"),
+            "--data", str(tmp_path), "--points", points]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    assert f"--points: {token!r} is not a point count" in \
+        _one_line_error(capsys)
+
+
 def test_embed_output_shape_and_range(trained_ckpt, synth_dir, capsys):
     cloud = next(p for p in synth_dir.iterdir() if p.suffix == ".txt")
     assert main(["embed", "--ckpt", str(trained_ckpt),

@@ -2,17 +2,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from penet.data import (AugmentConfig, PointCloud, SYNTH_CLASSES, augment,
                         canonical_start, farthest_point_sample,
                         load_cloud_text,
                         load_dataset, load_idx_images, load_manifest, mnist_to_pointcloud,
-                        sample_seed, save_cloud_text, synth_shapes,
-                        zero_mean_normalize)
+                        normalize_batch, sample_seed, save_cloud_text,
+                        synth_shapes, zero_mean_normalize)
 from penet.errors import (DataError, EmptyCloudError, FormatError,
                           SamplingError)
 
-from oracles import naive_fps
+from oracles import naive_fps, reference_zero_mean_normalize
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -250,6 +252,39 @@ def test_fps_from_canonical_start_ignores_row_order(seed):
     np.testing.assert_array_equal(a.points, b.points)
 
 
+@st.composite
+def lattice_clouds(draw):
+    """A cloud on a small integer lattice, so points repeat and distances
+    tie, with unit normals and part labels; two counts n < m <= its size;
+    and a start row."""
+    size = draw(st.integers(2, 40))
+    grid = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normals = rng.normal(size=(size, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cloud = PointCloud(rng.integers(-grid, grid + 1, size=(size, 3)),
+                       normals=normals,
+                       part_labels=rng.integers(0, 5, size=size))
+    m = draw(st.integers(2, size))
+    n = draw(st.integers(1, m - 1))
+    start = draw(st.one_of(st.just(canonical_start(cloud)),
+                           st.integers(0, size - 1)))
+    return cloud, n, m, start
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_clouds())
+def test_fps_larger_sample_starts_with_smaller_one(case):
+    # greedy FPS picks each point from the ones before it, ties included,
+    # so a larger sample from the same start extends a smaller one
+    cloud, n, m, start = case
+    small = farthest_point_sample(cloud, n, start)
+    large = farthest_point_sample(cloud, m, start)
+    np.testing.assert_array_equal(large.points[:n], small.points)
+    np.testing.assert_array_equal(large.normals[:n], small.normals)
+    np.testing.assert_array_equal(large.part_labels[:n], small.part_labels)
+
+
 # -- normalization / augmentation ----------------------------------------------
 
 def test_zero_mean_normalize_hand_example():
@@ -279,6 +314,32 @@ def test_zero_mean_normalize_degenerate_point():
     cloud = PointCloud(np.tile([3.0, 3.0, 3.0], (4, 1)))
     out = zero_mean_normalize(cloud)
     assert not out.points.any()
+
+
+@st.composite
+def point_stacks(draw):
+    """(bs, N, 3) float32 clouds, some with every point equal."""
+    bs = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    pts = draw(arrays(np.float32, (bs, n, 3), elements=st.floats(
+        -1, 1, width=32))) * np.float32(scale)
+    for j in draw(st.lists(st.integers(0, bs - 1), max_size=bs)):
+        pts[j] = pts[j, 0]
+    return pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_stacks())
+def test_normalize_batch_matches_per_cloud_reference(pts):
+    expected = [reference_zero_mean_normalize(PointCloud(c)).points
+                for c in pts]
+    stacked = normalize_batch(pts.transpose(1, 0, 2).copy())
+    for j, want in enumerate(expected):
+        assert np.ascontiguousarray(stacked[:, j]).tobytes() == \
+            want.tobytes()
+        assert zero_mean_normalize(PointCloud(pts[j])).points.tobytes() == \
+            want.tobytes()
 
 
 def test_augment_identity_config():

@@ -1,7 +1,7 @@
 import importlib
 import json
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,9 @@ from penet.train import (MetricsReport, TrainConfig, category_parts,
                          sweep_point_count, train)
 
 from oracles import (argmax_maxpool2d, gather_conv2d, naive_miou,
-                     reference_adam_step, relu_then_pool_backward,
+                     reference_adam_step, reference_classification,
+                     reference_prepare_batch, reference_segmentation,
+                     reference_sweep, relu_then_pool_backward,
                      relu_then_pool_forward, where_relu)
 
 # the package re-exports train(), which hides the penet.train module
@@ -613,7 +615,128 @@ def test_evaluation_checks_every_cloud_before_sampling(fps_calls):
     model = Classifier(din=3, num_classes=2, k=64, depth=3, seed=0)
     with pytest.raises(SamplingError, match="cloud of 8"):
         evaluate_classification(model, clouds, 16)
-    assert len(fps_calls) == 1 and "out" not in fps_calls[0]
+    assert fps_calls == []
+
+
+def test_sweep_samples_each_batch_once(fps_calls):
+    clouds = make_clouds(40)
+    model = Classifier(din=3, num_classes=2, k=64, depth=3, seed=0)
+    sweep_point_count(model, clouds, [16, 8, 32, 8])
+    # one call per batch, to the largest count below the clouds' 32 points
+    assert [(len(call["clouds"]), call["n"]) for call in fps_calls] == \
+        [(32, 16), (8, 16)]
+    _assert_canonical_per_cloud(fps_calls)
+    sweep_point_count(model, clouds, [32, 32])           # full size only
+    assert len(fps_calls) == 2
+
+
+def test_sweep_checks_every_cloud_before_sampling(fps_calls):
+    # the short cloud sits in the second batch
+    clouds = make_clouds(40) + make_clouds(1, points_each=8)
+    model = Classifier(din=3, num_classes=2, k=64, depth=3, seed=0)
+    with pytest.raises(SamplingError,
+                       match="cannot sample 16 points from a cloud of 8"):
+        sweep_point_count(model, clouds, [8, 16])
+    assert fps_calls == []
+
+
+# -- batch-major evaluation against the per-count reference -------------------
+
+def mixed_clouds(n, sizes, n_classes=3, seed=0):
+    """Clouds of the given sizes in turn, with unit normals and part
+    labels; every other cloud lies on a coarse lattice, so that FPS meets
+    distance ties."""
+    rng = np.random.default_rng(seed)
+    clouds = []
+    for i in range(n):
+        size = sizes[i % len(sizes)]
+        normals = rng.normal(size=(size, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        pts = rng.normal(size=(size, 3))
+        if i % 2:
+            pts = np.round(pts * 4) / 4
+        pts[:, 2] += i % n_classes
+        clouds.append(PointCloud(pts, normals=normals,
+                                 part_labels=rng.integers(0, 4, size=size),
+                                 class_label=i % n_classes))
+    return clouds
+
+
+def _with_recorded_forward(model, run):
+    """run(model)'s result, and each forward call's (input, logits) bytes
+    grouped by point count, in call order."""
+    calls = {}
+    forward = model.forward
+
+    def record(x):
+        out = forward(x)
+        calls.setdefault(x.shape[1], []).append((x.tobytes(), out.tobytes()))
+        return out
+    model.forward = record
+    try:
+        return run(model), calls
+    finally:
+        del model.forward
+
+
+def test_sweep_is_byte_equal_to_count_major_reference(tmp_path):
+    # 70 clouds: batches of 32, 32 and a ragged 6; sizes 40, 56 and 64 in
+    # one batch; unsorted counts with a repeat and one equal to a size
+    clouds = mixed_clouds(70, [40, 56, 64])
+    model = Classifier(din=6, num_classes=3, k=64, depth=3, seed=3)
+    counts = [24, 8, 40, 8, 16]
+    rows, calls = _with_recorded_forward(model, lambda m: sweep_point_count(
+        m, clouds, counts, out_csv=tmp_path / "new.csv"))
+    ref_rows, ref_calls = _with_recorded_forward(model, lambda m: reference_sweep(
+        m, clouds, counts, out_csv=tmp_path / "ref.csv"))
+    assert rows == ref_rows
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+    assert sorted(calls) == sorted(set(counts))
+    for n, batches in calls.items():
+        assert len(batches) == 3
+        assert ref_calls[n] == batches * counts.count(n)
+
+
+@pytest.mark.parametrize("n", [8, 40])
+@pytest.mark.parametrize("task", ["classify", "segment"])
+def test_evaluation_reports_match_reference(task, n):
+    clouds = mixed_clouds(37, [40, 48])
+    if task == "classify":
+        model = Classifier(din=6, num_classes=3, k=64, depth=3, seed=1)
+        evaluate, reference = evaluate_classification, reference_classification
+    else:
+        model = Segmenter(din=6, num_parts=4, k=64, depth=3, seed=1)
+        evaluate, reference = evaluate_segmentation, reference_segmentation
+    report, calls = _with_recorded_forward(
+        model, lambda m: evaluate(m, clouds, n))
+    ref_report, ref_calls = _with_recorded_forward(
+        model, lambda m: reference(m, clouds, n))
+    assert calls == ref_calls
+    assert asdict(replace(report, seconds=0.0)) == asdict(ref_report)
+
+
+def _reference_prepare(clouds, counts):
+    for n in counts:
+        prepared = reference_prepare_batch(clouds, n)
+        yield (np.stack([c.features() for c in prepared]),
+               [c.part_labels for c in prepared])
+
+
+@pytest.mark.parametrize("task", ["classify", "segment"])
+def test_training_is_byte_equal_with_reference_prep(task, monkeypatch,
+                                                    tmp_path):
+    clouds = mixed_clouds(10, [40, 48])
+    val = mixed_clouds(5, [40], seed=1)
+    cfg = _tiny_cfg(task=task, epochs=2, n_points=24, seed=2)
+    model, log = train(clouds, cfg, val_clouds=val)
+    save_checkpoint(model, tmp_path / "new.ckpt")
+    monkeypatch.setattr(train_module, "_prepare_batch", _reference_prepare)
+    ref_model, ref_log = train(clouds, cfg, val_clouds=val)
+    save_checkpoint(ref_model, tmp_path / "ref.ckpt")
+    assert [row[:4] for row in log] == [row[:4] for row in ref_log]
+    assert (tmp_path / "new.ckpt").read_bytes() == \
+        (tmp_path / "ref.ckpt").read_bytes()
 
 
 # -- permutation invariance of the whole evaluation pipeline --------------------
