@@ -19,7 +19,7 @@ from .data import (AugmentConfig, load_cloud_text, load_dataset,
                    load_manifest, synth_shapes)
 from .errors import ConfigError, FormatError
 from .models import Classifier
-from .numcore import grad_check, softmax_cross_entropy
+from .numcore import grad_check, inference, softmax_cross_entropy
 from .train import (TrainConfig, evaluate_classification,
                     evaluate_segmentation, load_checkpoint, save_checkpoint,
                     sweep_point_count, train)
@@ -193,7 +193,8 @@ def cmd_embed(args) -> int:
         raise ConfigError(
             f"cloud has {cloud.din} features per point, checkpoint expects "
             f"{model.din}")
-    feat = model.global_features(cloud.features()[None, :, :])[0]
+    with inference():
+        feat = model.global_features(cloud.features()[None, :, :])[0]
     print(" ".join(f"{v:.6f}" for v in feat))
     return 0
 

@@ -5,6 +5,11 @@ output into a (bs, k) global feature, the task head, the parameter list
 and the checkpoint metadata. ``Classifier`` and ``Segmenter`` only wire
 their head: the classifier reads the global feature as a g x g grid, the
 segmenter also taps the encoder's 128-wide hidden layer per point.
+
+Inside ``numcore.inference()`` the classifier and ``global_features`` let
+the encoder stream its per-point layers (encoder.py) and keep nothing for
+backward. The segmenter never streams: its head reads every point's
+hidden feature.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .aggregate import GlobalPool
 from .encoder import Encoder
 from .errors import DimensionError
 from .heads import ClassHead, SegHead, grid_side, reshape_grid
-from .numcore import ParamTensor
+from .numcore import ParamTensor, inference_enabled
 
 
 class PENet:
@@ -51,9 +56,12 @@ class PENet:
             p.zero_grad()
 
     def global_features(self, points: np.ndarray) -> np.ndarray:
-        """(bs, N, din) -> (bs, k) normalized global features.
+        """(bs, N, din) -> (bs, k) normalized global features; streamed
+        inside ``numcore.inference()``."""
+        return self._features(points, inference_enabled())
 
-        The encoder returns each cloud's mean embedding; GlobalPool then
+    def _features(self, points: np.ndarray, stream: bool) -> np.ndarray:
+        """The encoder returns each cloud's mean embedding; GlobalPool then
         sees a length-1 point axis, whose mean is exact, and min-max
         normalizes it.
         """
@@ -61,7 +69,8 @@ class PENet:
             raise DimensionError(
                 f"{type(self).__name__.lower()} expects (bs, N, {self.din}), "
                 f"got {points.shape}")
-        return self.pool.forward(self.encoder.forward(points)[:, None, :])
+        return self.pool.forward(
+            self.encoder.forward(points, stream=stream)[:, None, :])
 
     def _backward_features(self, dfeat: np.ndarray, hidden_grads=None):
         """Backprop a (bs, k) global-feature gradient to the encoder."""
@@ -95,6 +104,7 @@ class Classifier(PENet):
         return self.head.forward(reshape_grid(self.global_features(points)))
 
     def backward(self, dlogits: np.ndarray):
+        self.encoder.check_cached("Classifier.backward")
         self._backward_features(self.head.backward(dlogits).reshape(-1, self.k))
 
 
@@ -120,7 +130,7 @@ class Segmenter(PENet):
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, N, num_parts)."""
-        feat = self.global_features(points)
+        feat = self._features(points, stream=False)
         local = self.encoder.hidden(self.LOCAL_LAYER).reshape(
             *points.shape[:2], self.LOCAL_DIM)
         return self.head.forward(local, feat)

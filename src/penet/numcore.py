@@ -5,15 +5,38 @@ float64 is used only when verifying gradients against finite differences.
 All layers follow the same protocol: ``forward(x)`` caches what backward
 needs, ``backward(dout)`` returns the gradient w.r.t. the input and
 accumulates parameter gradients in place.
+
+Inside ``inference()`` a model may skip the caches that only backward
+reads; the layers themselves behave the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
+
+
+_inference = False
+
+
+@contextlib.contextmanager
+def inference():
+    """Run the enclosed forward passes for their output only: no backward
+    follows them. Nested uses and exceptions restore the previous state."""
+    global _inference
+    saved, _inference = _inference, True
+    try:
+        yield
+    finally:
+        _inference = saved
+
+
+def inference_enabled() -> bool:
+    return _inference
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .data import (AugmentConfig, PointCloud, augment, canonical_start,
 from .errors import ConfigError, DataError, FormatError
 from .heads import predict
 from .models import Classifier, Segmenter
-from .numcore import Adam, SGD, softmax_cross_entropy
+from .numcore import Adam, SGD, inference, softmax_cross_entropy
 
 CHECKPOINT_MAGIC = b"PENET1"
 CHECKPOINT_VERSION = 1
@@ -179,7 +179,8 @@ def load_checkpoint(path):
         if rank > 32:                   # the smallest limit numpy has had
             raise FormatError(f"checkpoint array {name!r} has rank {rank}")
         payload = take(4 * math.prod(shape), f"{name} payload")
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        # a read-only view of the file bytes; the model copies it below
+        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
 
     if not isinstance(meta, dict):
         raise FormatError("checkpoint metadata is not a JSON object")
@@ -359,7 +360,8 @@ def _eval_batches(model, clouds: list[PointCloud], counts: list[int],
                   batch_size: int = 32):
     """(count, clouds, part labels, logits) for each batch of up to
     batch_size clouds at each count, batch by batch. Every cloud is
-    checked against every count before anything is sampled."""
+    checked against every count before anything is sampled. Each forward
+    runs inside ``inference()``, which is left before the yield."""
     if not clouds:
         raise DataError("no clouds to evaluate")
     if any(c.din != clouds[0].din for c in clouds):
@@ -369,7 +371,9 @@ def _eval_batches(model, clouds: list[PointCloud], counts: list[int],
     for b0 in range(0, len(clouds), batch_size):
         batch = clouds[b0:b0 + batch_size]
         for n, (x, parts) in zip(counts, _prepare_batch(batch, counts)):
-            yield n, batch, parts, model.forward(x)
+            with inference():
+                logits = model.forward(x)
+            yield n, batch, parts, logits
 
 
 def _classification_reports(model, clouds: list[PointCloud],

@@ -150,6 +150,30 @@ def test_embed_permuted_cloud_same_feature(trained_ckpt, synth_dir, tmp_path,
     np.testing.assert_allclose(a, b, atol=1e-4)
 
 
+def test_embed_streams_and_prints_cached_feature(trained_ckpt, synth_dir,
+                                                 monkeypatch, capsys):
+    from penet import cli
+    from penet.data import load_cloud_text
+    from penet.train import load_checkpoint
+    loaded = []
+
+    def load(path):
+        loaded.append(load_checkpoint(path))
+        return loaded[-1]
+    monkeypatch.setattr(cli, "load_checkpoint", load)
+    cloud = next(p for p in synth_dir.iterdir() if p.suffix == ".txt")
+    assert main(["embed", "--ckpt", str(trained_ckpt),
+                 "--cloud", str(cloud)]) == 0
+    # the forward ran inside numcore.inference(), which keeps no hidden
+    # activations
+    with pytest.raises(RuntimeError, match="inference forward"):
+        loaded[0].encoder.hidden(0)
+    feat = load_checkpoint(trained_ckpt).global_features(
+        load_cloud_text(cloud).features()[None, :, :])[0]
+    assert capsys.readouterr().out == \
+        " ".join(f"{v:.6f}" for v in feat) + "\n"
+
+
 def test_embed_din_mismatch(trained_ckpt, tmp_path, capsys):
     xyz_only = tmp_path / "c.txt"
     xyz_only.write_text("0 0 0\n1 0 0\n")

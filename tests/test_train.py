@@ -698,6 +698,25 @@ def test_sweep_is_byte_equal_to_count_major_reference(tmp_path):
         assert ref_calls[n] == batches * counts.count(n)
 
 
+def test_streamed_sweep_is_byte_equal_to_reference(tmp_path):
+    # the sweep's forwards run inside inference(), the reference's outside
+    # it; at 160 points a batch of 32 streams in blocks of 12, 12 and 8
+    # clouds, at 100 points in blocks of 20 and 12, and the ragged last
+    # batch of 2 in one block; half the clouds are sampled at 160
+    clouds = mixed_clouds(34, [160, 176])
+    model = Classifier(din=6, num_classes=3, k=64, depth=3, seed=5)
+    counts = [160, 100, 150]
+    rows, calls = _with_recorded_forward(model, lambda m: sweep_point_count(
+        m, clouds, counts, out_csv=tmp_path / "new.csv"))
+    ref_rows, ref_calls = _with_recorded_forward(model, lambda m: reference_sweep(
+        m, clouds, counts, out_csv=tmp_path / "ref.csv"))
+    assert rows == ref_rows
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+    assert calls == ref_calls
+    assert [len(batches) for batches in calls.values()] == [2, 2, 2]
+
+
 @pytest.mark.parametrize("n", [8, 40])
 @pytest.mark.parametrize("task", ["classify", "segment"])
 def test_evaluation_reports_match_reference(task, n):
