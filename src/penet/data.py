@@ -169,13 +169,15 @@ def farthest_point_sample(clouds, n: int, start=0):
     """Greedy FPS: repeatedly take the point farthest from the chosen set.
 
     ``clouds`` is one PointCloud, which returns one, or a list, which
-    returns a list in the same order. ``start`` is the first index, one for
-    all clouds or one per cloud. A list is sampled in one pass per
-    distinct cloud length, without padding: each length's clouds are
+    returns a list in the same order. ``start`` is the first index, one
+    integer for all clouds or one per cloud. A list is sampled in one pass
+    per distinct cloud length, without padding: each length's clouds are
     stacked as planar (3, bs, T) coordinates, and every greedy step takes
-    one argmax per row of the (bs, T) table of squared distances to the
-    chosen set, then lowers the table in place. Every cloud is checked
-    against ``n`` before any is sampled.
+    a few in-place passes over the whole stack, with numpy's ufunc buffer
+    cut to one cloud row (``_fps_indices``). Every cloud is checked
+    against ``n``, and every start against its cloud, before any is
+    sampled; a start that is not an integer index into its cloud, or a
+    start list of the wrong length, raises SamplingError.
 
     Ties go to the lowest index (argmax convention), so the result is
     deterministic for a fixed start index. Squared distances are summed
@@ -187,7 +189,7 @@ def farthest_point_sample(clouds, n: int, start=0):
         return farthest_point_sample([clouds], n, [start])[0]
     clouds = list(clouds)
     check_sample_count(clouds, n)
-    starts = np.broadcast_to(np.asarray(start, dtype=np.int64), len(clouds))
+    starts = _check_starts(clouds, start)
     by_length: dict[int, list[int]] = {}
     for j, cloud in enumerate(clouds):
         by_length.setdefault(len(cloud), []).append(j)
@@ -206,28 +208,60 @@ def farthest_point_sample(clouds, n: int, start=0):
     return out
 
 
+def _check_starts(clouds, start) -> np.ndarray:
+    """One int64 start per cloud, or SamplingError naming the first cloud
+    whose start is not an integer index into it."""
+    starts = list(start) if np.iterable(start) else [start] * len(clouds)
+    if len(starts) != len(clouds):
+        raise SamplingError(
+            f"{len(starts)} start indices for {len(clouds)} clouds")
+    for j, (cloud, s) in enumerate(zip(clouds, starts)):
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) \
+                or not 0 <= s < len(cloud):
+            raise SamplingError(
+                f"cloud {j}: start {s} is not an index into its "
+                f"{len(cloud)} points")
+    return np.array(starts, dtype=np.int64)
+
+
 def _fps_indices(planes: np.ndarray, n: int, start: np.ndarray
                  ) -> np.ndarray:
     """(bs, n) greedy FPS indices of a planar (3, bs, T) batch, whose x, y
-    and z are each a contiguous (bs, T) plane."""
-    rows = np.arange(planes.shape[1])
+    and z are each a contiguous (bs, T) plane.
 
-    def sq_dist(idx):
-        dx, dy, dz = (p - p[rows, idx, None] for p in planes)
-        dx *= dx
-        dy *= dy
-        dz *= dz
-        dx += dy
-        dx += dz
-        return dx
+    Each greedy step is a few whole-batch passes over buffers allocated
+    once per call: one subtract of the last chosen points from every
+    plane, one in-place square, two in-place adds for (dx² + dy²) + dz²,
+    then ``np.minimum`` into the (bs, T) table of squared distances to the
+    chosen set and one argmax per row. The table starts at +inf, which the
+    first minimum replaces with the first distances exactly.
 
-    chosen = np.empty((planes.shape[1], n), dtype=np.int64)
+    While the loop runs, numpy's ufunc buffer holds at most one cloud row
+    (or numpy's smallest buffer, 16 elements, for shorter clouds). A
+    buffer spanning several rows makes numpy copy each row's chosen point,
+    a broadcast operand, into it, which slowed the subtract about 2x at
+    (3, 32, 1024). The old size is restored on the way out, also on an
+    error.
+    """
+    _, bs, t = planes.shape
+    rows = np.arange(bs)
+    chosen = np.empty((bs, n), dtype=np.int64)
     chosen[:, 0] = start
-    min_d2 = sq_dist(start)
-    for i in range(1, n):
-        idx = min_d2.argmax(axis=1)
-        chosen[:, i] = idx
-        np.minimum(min_d2, sq_dist(idx), out=min_d2)
+    diff = np.empty_like(planes)
+    d2, dy2, dz2 = diff
+    min_d2 = np.full((bs, t), np.inf, dtype=planes.dtype)
+    old = np.setbufsize(max(16, min(t, np.getbufsize()) // 16 * 16))
+    try:
+        for i in range(1, n):
+            np.subtract(planes, planes[:, rows, chosen[:, i - 1], None],
+                        out=diff)
+            np.multiply(diff, diff, out=diff)
+            d2 += dy2
+            d2 += dz2
+            np.minimum(min_d2, d2, out=min_d2)
+            chosen[:, i] = min_d2.argmax(axis=1)
+    finally:
+        np.setbufsize(old)
     return chosen
 
 

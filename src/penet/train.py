@@ -1,13 +1,15 @@
 """Training loops, evaluation metrics and checkpoint persistence.
 
 Training, evaluation and the point-count sweep prepare every batch the
-same way (``_prepare_batch``): one ``farthest_point_sample`` call for the
-clouds that need sampling, each starting at its ``canonical_start`` and
-taken to the largest requested count below its size; every smaller count
-is a row prefix of that sample, because greedy FPS picks its first n
-points the same whatever it goes on to pick. Each count's batch is then
-centered and scaled as one array. The sweep prepares each batch once and
-runs the model at every count before it moves to the next batch.
+same way (``_prepare_batch``): each cloud that needs sampling starts at
+its ``canonical_start`` and is taken to the largest requested count below
+its size, with one ``farthest_point_sample`` call per distinct target
+size; every smaller count is a row prefix of that sample, because greedy
+FPS picks its first n points the same whatever it goes on to pick. Each
+count's batch is then centered and scaled as one array. The sweep
+prepares each batch once and runs the model at every count before it
+moves to the next batch. Training samples its validation clouds once per
+run.
 """
 
 from __future__ import annotations
@@ -223,29 +225,43 @@ def load_checkpoint(path):
 # Batch assembly
 
 
+def _sample_to(clouds: list[PointCloud], targets: list[int]
+               ) -> list[PointCloud]:
+    """Each cloud sampled to its target count, starting at its
+    lexicographically smallest feature row, so the subset kept does not
+    depend on the order of the rows in its file: one farthest_point_sample
+    call per distinct target, for the clouds larger than theirs. A cloud
+    whose target is its size is returned as it is."""
+    out = list(clouds)
+    by_target: dict[int, list[int]] = {}
+    for j, (cloud, n) in enumerate(zip(clouds, targets)):
+        if n < len(cloud):
+            by_target.setdefault(n, []).append(j)
+    for n, members in by_target.items():
+        group = [clouds[j] for j in members]
+        sampled = farthest_point_sample(
+            group, n, [canonical_start(c) for c in group])
+        for j, cloud in zip(members, sampled):
+            out[j] = cloud
+    return out
+
+
 def _prepare_batch(clouds: list[PointCloud], counts: list[int]):
     """For each count in turn, (x, part labels): the (bs, n, din) float32
     model input, centered and scaled to the unit sphere, and each cloud's
     n part labels (None for a cloud without them).
 
     The caller has checked every count against every cloud
-    (``check_sample_count``) and that the clouds share one din. A cloud
-    larger than some count is sampled to the largest count below its
-    size, in one farthest_point_sample call for the batch, starting at its
-    lexicographically smallest feature row, so the subset kept does not
-    depend on the order of the rows in its file. A cloud in a batch with
-    larger clouds may be sampled further than it needs. Smaller counts
-    take a row prefix of the sample; a count equal to a cloud's size takes
-    the cloud's rows as they are.
+    (``check_sample_count``) and that the clouds share one din. Each cloud
+    is sampled once, to the largest count below its size (``_sample_to``).
+    Smaller counts take a row prefix of the sample; a count equal to a
+    cloud's size takes the cloud's rows as they are.
     """
-    to_sample = [c for c in clouds if any(n < len(c) for n in counts)]
-    sampled = {}
-    if to_sample:
-        size = max(max(n for n in counts if n < len(c)) for c in to_sample)
-        sampled = dict(zip(map(id, to_sample), farthest_point_sample(
-            to_sample, size, [canonical_start(c) for c in to_sample])))
+    sampled = _sample_to(clouds, [
+        max((n for n in counts if n < len(c)), default=len(c))
+        for c in clouds])
     for n in counts:
-        rows = [c if len(c) == n else sampled[id(c)] for c in clouds]
+        rows = [c if len(c) == n else s for c, s in zip(clouds, sampled)]
         pts = normalize_batch(np.stack([c.points[:n] for c in rows], axis=1))
         x = np.empty((len(rows), n, rows[0].din), dtype=np.float32)
         x[:, :, :3] = pts.transpose(1, 0, 2)
@@ -268,8 +284,10 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     augment with a copy of cfg.augment whose seed is derived from
     (cfg.seed, epoch, sample index) so the run is reproducible regardless
     of iteration order. FPS runs once per batch in the first epoch; later
-    epochs reuse the cached samples. Every training and validation cloud
-    is checked against cfg.n_points before the first batch.
+    epochs reuse the cached samples. The validation clouds are sampled to
+    cfg.n_points once, before the first epoch, and every epoch evaluates
+    those samples. Every training and validation cloud is checked against
+    cfg.n_points before anything is sampled.
     """
     if not clouds:
         raise ConfigError("empty training set")
@@ -299,6 +317,7 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(0xB0,)))
     fps_cache: dict = {}
+    val_samples = _sample_to(val_clouds, [cfg.n_points] * len(val_clouds))
     log_rows = []
 
     for epoch in range(cfg.epochs):
@@ -338,7 +357,7 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
             losses.append(loss)
         train_acc = correct / total
         # instance accuracy: per cloud or, for segmentation, per point
-        val_acc = evaluate(model, val_clouds, cfg.n_points).instance_accuracy \
+        val_acc = evaluate(model, val_samples, cfg.n_points).instance_accuracy \
             if val_clouds else float("nan")
         seconds = time.perf_counter() - t0
         log_rows.append((epoch, float(np.mean(losses)), train_acc, val_acc,

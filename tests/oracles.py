@@ -181,6 +181,31 @@ def naive_fps(points, n, start=0):
     return chosen
 
 
+def reference_fps_indices(planes, n, start):
+    """(bs, n) greedy FPS indices of a planar (3, bs, T) batch, each step
+    gathering the chosen points plane by plane and subtracting them into
+    fresh arrays: the kernel farthest_point_sample used to run."""
+    rows = np.arange(planes.shape[1])
+
+    def sq_dist(idx):
+        dx, dy, dz = (p - p[rows, idx, None] for p in planes)
+        dx *= dx
+        dy *= dy
+        dz *= dz
+        dx += dy
+        dx += dz
+        return dx
+
+    chosen = np.empty((planes.shape[1], n), dtype=np.int64)
+    chosen[:, 0] = start
+    min_d2 = sq_dist(start)
+    for i in range(1, n):
+        idx = min_d2.argmax(axis=1)
+        chosen[:, i] = idx
+        np.minimum(min_d2, sq_dist(idx), out=min_d2)
+    return chosen
+
+
 def numeric_grad(loss_fn, array, eps=1e-5):
     """Central finite differences of loss_fn() w.r.t. every entry of array
     (mutated in place and restored)."""

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from penet.data import (AugmentConfig, PointCloud, SYNTH_CLASSES, augment,
-                        canonical_start, farthest_point_sample,
+from penet.data import (AugmentConfig, PointCloud, SYNTH_CLASSES, _fps_indices,
+                        augment, canonical_start, farthest_point_sample,
                         load_cloud_text,
                         load_dataset, load_idx_images, load_manifest, mnist_to_pointcloud,
                         normalize_batch, sample_seed, save_cloud_text,
@@ -14,7 +14,8 @@ from penet.data import (AugmentConfig, PointCloud, SYNTH_CLASSES, augment,
 from penet.errors import (DataError, EmptyCloudError, FormatError,
                           SamplingError)
 
-from oracles import naive_fps, reference_zero_mean_normalize
+from oracles import (naive_fps, reference_fps_indices,
+                     reference_zero_mean_normalize)
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -283,6 +284,93 @@ def test_fps_larger_sample_starts_with_smaller_one(case):
     np.testing.assert_array_equal(large.points[:n], small.points)
     np.testing.assert_array_equal(large.normals[:n], small.normals)
     np.testing.assert_array_equal(large.part_labels[:n], small.part_labels)
+
+
+@st.composite
+def fps_batches(draw):
+    """A planar (3, bs, T) float32 batch, a count and one start per cloud.
+    The points are gaussian at a drawn scale, or on a small lattice whose
+    coordinates include -0.0, so that distances tie exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bs = draw(st.integers(1, 40))
+    t = {"short": int(rng.integers(1, 16)), "long": int(rng.integers(16, 1101)),
+         "1024": 1024}[draw(st.sampled_from(["short", "long", "1024"]))]
+    if draw(st.booleans()):
+        planes = rng.integers(-2, 3, size=(3, bs, t)).astype(np.float32)
+        planes[rng.random(planes.shape) < 0.3] *= -1   # 0.0 -> -0.0
+    else:
+        planes = rng.normal(size=(3, bs, t)).astype(np.float32) \
+            * np.float32(10.0 ** draw(st.integers(-3, 3)))
+    n = draw(st.integers(1, min(t, 64)))
+    return planes, n, rng.integers(0, t, size=bs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fps_batches())
+def test_fps_indices_are_byte_equal_to_reference(case):
+    planes, n, start = case
+    got = _fps_indices(planes, n, start)
+    assert got.dtype == np.int64
+    assert got.tobytes() == reference_fps_indices(planes, n, start).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e19])
+def test_fps_indices_at_full_size_are_byte_equal_to_reference(scale):
+    # at 1e19 most squared distances overflow float32 to inf
+    rng = np.random.default_rng(4)
+    for t in (1, 7, 16, 100, 1024):
+        planes = (rng.normal(size=(3, 5, t)) * scale).astype(np.float32)
+        start = rng.integers(0, t, size=5)
+        with np.errstate(over="ignore"):
+            assert _fps_indices(planes, t, start).tobytes() == \
+                reference_fps_indices(planes, t, start).tobytes()
+
+
+def test_fps_restores_the_ufunc_buffer_size():
+    planes = np.random.default_rng(0).normal(size=(3, 4, 100)).astype(
+        np.float32)
+    old = np.setbufsize(4096)
+    try:
+        _fps_indices(planes, 10, np.zeros(4, dtype=np.int64))
+        assert np.getbufsize() == 4096
+        # a start past the end fails inside the greedy loop
+        with pytest.raises(IndexError):
+            _fps_indices(planes, 10, np.array([0, 0, 0, 100]))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("start, match", [
+    (-1, "cloud 0: start -1 "),
+    (2.5, "cloud 0: start 2.5 "),
+    (5, "cloud 0: start 5 "),
+    (True, "cloud 0: start True "),
+    ([0, 7], "cloud 1: start 7 "),
+    ([0, np.int64(-2)], "cloud 1: start -2 "),
+    ([0, 1.0], "cloud 1: start 1.0 "),
+    ([[0], 1], r"cloud 0: start \[0\] "),
+    (np.array([0, 6]), "cloud 1: start 6 "),
+    ([0], "1 start indices for 2 clouds"),
+    ([0, 1, 2], "3 start indices for 2 clouds"),
+])
+def test_fps_rejects_a_bad_start(start, match, monkeypatch):
+    def never(*args):
+        raise AssertionError("sampled before the starts were checked")
+    monkeypatch.setattr("penet.data._fps_indices", never)
+    clouds = [PointCloud(np.zeros((5, 3))), PointCloud(np.ones((6, 3)))]
+    with pytest.raises(SamplingError, match=match):
+        farthest_point_sample(clouds, 2, start)
+
+
+def test_fps_rejects_a_bad_start_for_one_cloud():
+    cloud = PointCloud(np.arange(12.0).reshape(4, 3))
+    for start in (-1, 4, 1.5, [1]):
+        with pytest.raises(SamplingError, match="cloud 0: start"):
+            farthest_point_sample(cloud, 2, start)
+    np.testing.assert_array_equal(
+        farthest_point_sample(cloud, 2, np.int32(3)).points,
+        cloud.points[[3, 0]])
 
 
 # -- normalization / augmentation ----------------------------------------------

@@ -597,6 +597,21 @@ def test_train_samples_each_warm_up_batch_once(fps_calls):
     _assert_canonical_per_cloud(fps_calls)
 
 
+def test_train_samples_validation_clouds_once(fps_calls):
+    clouds, val = make_clouds(8, points_each=64), make_clouds(
+        6, points_each=64, seed=1)
+    cfg = _tiny_cfg(epochs=3, batch_size=4, n_points=32)
+    model, log = train(clouds, cfg, val_clouds=val)
+    # the validation clouds first, then each warm-up batch
+    assert [(len(call["clouds"]), call["n"]) for call in fps_calls] == \
+        [(6, 32), (4, 32), (4, 32)]
+    assert list(map(id, fps_calls[0]["clouds"])) == list(map(id, val))
+    _assert_canonical_per_cloud(fps_calls)
+    # the last epoch's val_acc has the bits of evaluating the clouds afresh
+    assert log[-1][3] == evaluate_classification(
+        model, val, 32).instance_accuracy
+
+
 def test_evaluation_samples_each_batch_once(fps_calls):
     clouds = make_clouds(40, with_parts=True)
     classifier = Classifier(din=3, num_classes=2, k=64, depth=3, seed=0)
@@ -679,7 +694,8 @@ def _with_recorded_forward(model, run):
         del model.forward
 
 
-def test_sweep_is_byte_equal_to_count_major_reference(tmp_path):
+def test_sweep_is_byte_equal_to_count_major_reference(tmp_path,
+                                                      fps_calls):
     # 70 clouds: batches of 32, 32 and a ragged 6; sizes 40, 56 and 64 in
     # one batch; unsorted counts with a repeat and one equal to a size
     clouds = mixed_clouds(70, [40, 56, 64])
@@ -687,6 +703,11 @@ def test_sweep_is_byte_equal_to_count_major_reference(tmp_path):
     counts = [24, 8, 40, 8, 16]
     rows, calls = _with_recorded_forward(model, lambda m: sweep_point_count(
         m, clouds, counts, out_csv=tmp_path / "new.csv"))
+    # per batch, the 56- and 64-point clouds are sampled to 40 and the
+    # 40-point clouds only to 24
+    assert sorted((sorted({len(c) for c in call["clouds"]}), call["n"])
+                  for call in fps_calls) == [([40], 24)] * 3 + \
+        [([56, 64], 40)] * 3
     ref_rows, ref_calls = _with_recorded_forward(model, lambda m: reference_sweep(
         m, clouds, counts, out_csv=tmp_path / "ref.csv"))
     assert rows == ref_rows
