@@ -5,16 +5,17 @@ by min-max normalization to [0, 1]. Because min-max normalization is
 invariant to positive scaling, summing and averaging give the same
 normalized feature; the mean is canonical here.
 
-``GlobalPool`` is the batched, differentiable form the models use. The
-functional ``sum_pool``, ``mean_pool`` and ``min_max_normalize`` work on
-one cloud; ``min_max_normalize`` runs the same row math as ``GlobalPool``.
+The models take each cloud's mean in the encoder; ``GlobalPool`` min-max
+normalizes the (bs, k) means. The functional ``sum_pool``, ``mean_pool``
+and ``min_max_normalize`` work on one cloud; ``min_max_normalize`` runs
+the same row math as ``GlobalPool``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyCloudError
+from .errors import DimensionError, EmptyCloudError
 
 
 def sum_pool(embeddings: np.ndarray) -> np.ndarray:
@@ -51,9 +52,9 @@ def min_max_normalize(v: np.ndarray) -> np.ndarray:
 
 
 class GlobalPool:
-    """Differentiable mean-pool + rowwise min-max normalize for batches.
+    """Differentiable rowwise min-max normalize of (bs, k) mean embeddings.
 
-    forward: (bs, N, k) -> (bs, k). The min/max are non-smooth; backward
+    forward: (bs, k) -> (bs, k). The min/max are non-smooth; backward
     routes their subgradient to the first argmin/argmax element of each
     row, which keeps training deterministic.
     """
@@ -64,30 +65,26 @@ class GlobalPool:
     def params(self):
         return []
 
-    def forward(self, e: np.ndarray) -> np.ndarray:
-        if e.ndim != 3:
-            raise ValueError(f"expected (bs, N, k), got {e.shape}")
-        if e.shape[1] == 0:
-            raise EmptyCloudError("cannot pool an empty point cloud")
-        out, imin, imax, span, degenerate = _min_max_rows(e.mean(axis=1))
-        self._cache = (e.shape, imin, imax, span, degenerate, out)
+    def forward(self, m: np.ndarray) -> np.ndarray:
+        if m.ndim != 2:
+            raise DimensionError(f"expected (bs, k), got {m.shape}")
+        out, imin, imax, span, degenerate = _min_max_rows(m)
+        self._cache = (imin, imax, span, degenerate, out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        shape, imin, imax, span, degenerate, out = self._cache
-        bs, n, k = shape
-        rows = np.arange(bs)
+        imin, imax, span, degenerate, out = self._cache
+        rows = np.arange(len(dout))
         # y_i = (m_i - lo)/(hi - lo):
         #   dm = dy/span;  dm[argmin] -= sum(dy)/span
         #   dm[argmax] -= sum(dy*y)/span;  dm[argmin] += sum(dy*y)/span
-        dmean = dout / span[:, None]
-        s_all = dout.sum(axis=1) / span
+        # each update below touches one element per row: no np.add.at needed
+        dm = dout / span[:, None]
         s_span = (dout * out).sum(axis=1) / span
-        np.subtract.at(dmean, (rows, imin), s_all)
-        np.subtract.at(dmean, (rows, imax), s_span)
-        np.add.at(dmean, (rows, imin), s_span)
-        dmean[degenerate] = 0.0
-        return np.broadcast_to((dmean / n)[:, None, :], (bs, n, k)).astype(
-            dout.dtype).copy()
+        dm[rows, imin] -= dout.sum(axis=1) / span
+        dm[rows, imax] -= s_span
+        dm[rows, imin] += s_span
+        dm[degenerate] = 0.0
+        return dm

@@ -24,6 +24,10 @@ from .errors import (DataError, EmptyCloudError, FormatError, SamplingError)
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 
+# largest |coordinate|, a power of two below sqrt(float32 max / 12) ~ 5.3e18:
+# a squared distance (dx² + dy²) + dz² with |dx| <= 2 * MAX_COORD is finite
+MAX_COORD = 2.0 ** 62
+
 
 @dataclass
 class PointCloud:
@@ -40,6 +44,10 @@ class PointCloud:
             raise EmptyCloudError("point cloud must contain at least one point")
         if not np.isfinite(self.points).all():
             raise DataError("points must be finite (found nan or inf)")
+        peak = max(self.points.max(), -self.points.min())
+        if peak > MAX_COORD:
+            raise DataError(f"|coordinate| {peak:.4g} > {MAX_COORD:.4g}: "
+                            f"squared distances would overflow float32")
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=np.float32)
             if self.normals.shape != self.points.shape:

@@ -1,22 +1,19 @@
 """Per-point encoder: maps each point independently to a k-dim embedding.
 
 The canonical encoder is three affine layers (din -> 64 -> 128 -> k) with
-ReLU between layers and a linear final output. Because each point is mapped
-independently, a whole batch of clouds is flattened to one (bs*N, din)
-matrix and embedded in a single fused forward pass.
+ReLU between layers and a linear final output. No ReLU follows the last
+layer, so mean(h W + b) = mean(h) W + b exactly: the layers before the last
+run over a block of clouds flattened to one (rows, din) matrix, each
+cloud's last hidden activation is averaged, and the last layer maps one
+row per cloud, so the (bs*N, k) embedding matrix is never built. A (m, din)
+batch is m one-point clouds, whose means are their rows.
 
-The models only need each cloud's mean embedding. No ReLU follows the last
-layer, so it is affine and mean(h W + b) = mean(h) W + b exactly: given a
-(bs, N, din) batch, the encoder averages the last hidden activation over
-each cloud's points and applies the last layer to one row per cloud, so the
-(bs*N, k) embedding matrix is never built.
-
-Training caches every hidden activation for backward. A forward that only
-needs the output streams instead: the layers before the last run over
-blocks of whole clouds, at most STREAM_ROWS rows or one cloud each, and
-only each cloud's mean is kept. A row's products and a cloud's mean are
-the same computations in a block as in the whole batch, so the output
-bits are too; each block's activations are small enough to stay in cache.
+Training takes the whole batch as one block and caches every hidden
+activation for backward. A forward that only needs the output streams:
+blocks of whole clouds, at most STREAM_ROWS rows or one cloud each, keep
+only each cloud's mean. A row's products and a cloud's mean are the same
+computations in a block as in the whole batch, so the output bits are too;
+each block's activations are small enough to stay in cache.
 """
 
 from __future__ import annotations
@@ -77,54 +74,47 @@ class Encoder:
         ]
         self.relus = [ReLU() for _ in range(len(self.layers) - 1)]
         self._hidden: list[np.ndarray] = []
-        self._pooled: tuple[int, int] | None = None
+        self._n_points = 1
         self._streamed = False
 
     def params(self) -> list[ParamTensor]:
         return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, x: np.ndarray, stream: bool = False) -> np.ndarray:
-        """Embed m points, (m, din) -> (m, k), or pool bs clouds,
-        (bs, N, din) -> (bs, k) mean embeddings.
+        """Pool bs clouds, (bs, N, din) -> (bs, k) mean embeddings, or embed
+        m points, (m, din) -> (m, k), as m one-point clouds.
 
-        Hidden activations are cached per point as (m, width) or
-        (bs*N, width); ``hidden(i)`` exposes the post-ReLU output of layer
-        i+1 (the 128-wide layer-2 output feeds the segmentation head).
-        With ``stream``, a pooled batch runs its hidden layers block by
-        block and keeps no activations, so ``hidden`` and ``backward``
-        raise until the next forward without it.
+        The hidden layers run over the whole batch as one block and cache
+        their activations per point as (bs*N, width); ``hidden(i)`` is the
+        post-ReLU output of layer i+1 (the 128-wide layer-2 output feeds
+        the segmentation head). With ``stream`` they run block by block and
+        keep nothing, so ``hidden`` and ``backward`` raise until the next
+        forward without it.
         """
         if x.ndim not in (2, 3) or x.shape[-1] != self.din:
             raise DimensionError(
                 f"encoder expects (m, {self.din}) or (bs, N, {self.din}), "
                 f"got {x.shape}")
-        if x.ndim == 3 and x.shape[1] == 0:
-            raise EmptyCloudError("cannot pool an empty point cloud")
-        self._pooled = x.shape[:2] if x.ndim == 3 else None
-        self._streamed = stream and self._pooled is not None
-        if self._streamed:
-            step = max(1, STREAM_ROWS // x.shape[1])
-            h = np.concatenate([self._point_mean(x[c:c + step])
-                                for c in range(0, len(x), step)])
-        elif self._pooled is not None:
-            h = self._point_mean(x)
-        else:
-            h = self._hidden_layers(x)
+        if 0 in x.shape[:-1]:
+            raise EmptyCloudError("cannot embed an empty batch or cloud")
+        x = x.reshape(len(x), -1, self.din)          # (m, din) -> (m, 1, din)
+        bs, n = x.shape[:2]
+        self._n_points, self._streamed = n, stream
+        step = max(1, STREAM_ROWS // n) if stream else bs
+        h = np.concatenate([self._point_mean(x[c:c + step])
+                            for c in range(0, bs, step)])
         return self.layers[-1].forward(h)
 
-    def _hidden_layers(self, x: np.ndarray) -> np.ndarray:
-        """The layers before the last, each with its ReLU, over the points
-        of x as (rows, din); every output is kept in ``_hidden``."""
+    def _point_mean(self, x: np.ndarray) -> np.ndarray:
+        """(c, N, din) clouds -> (c, width) mean last hidden activation:
+        the layers before the last, each with its ReLU, over the points as
+        (c*N, din) rows; every output is kept in ``_hidden``."""
         h = x.reshape(-1, self.din)
         self._hidden = []
         for layer, relu in zip(self.layers, self.relus):
             h = relu.forward(layer.forward(h))
             self._hidden.append(h)
-        return h
-
-    def _point_mean(self, x: np.ndarray) -> np.ndarray:
-        """(c, N, din) clouds -> (c, width) mean last hidden activation."""
-        return self._hidden_layers(x).reshape(*x.shape[:2], -1).mean(axis=1)
+        return h.reshape(*x.shape[:2], -1).mean(axis=1)
 
     def check_cached(self, what: str):
         """Raise if the last forward streamed and kept no activations."""
@@ -141,18 +131,17 @@ class Encoder:
     def backward(self, dout: np.ndarray,
                  hidden_grads: dict[int, np.ndarray] | None = None) -> np.ndarray:
         """Backprop through the stack; returns the gradient w.r.t. the input
-        flattened to (m, din) or (bs*N, din).
+        flattened to (bs*N, din), or (m, din) after a (m, din) forward.
 
-        After a pooled forward, ``dout`` is (bs, k) and the gradient of each
-        cloud's mean reaches each of its N points divided by N.
+        ``dout`` is (bs, k), and the gradient of each cloud's mean reaches
+        each of its N points divided by N (exactly itself at N = 1).
         ``hidden_grads`` injects extra per-point gradient at cached hidden
         outputs (segmentation taps the layer-2 features directly, so that
         branch's gradient joins the main path here).
         """
         self.check_cached("Encoder.backward")
         g = self.layers[-1].backward(dout)
-        if self._pooled is not None:
-            g = np.repeat(g / self._pooled[1], self._pooled[1], axis=0)
+        g = np.repeat(g / self._n_points, self._n_points, axis=0)
         for i in range(len(self.relus) - 1, -1, -1):
             if hidden_grads and i in hidden_grads:
                 g = g + hidden_grads[i]

@@ -10,6 +10,9 @@ intermediate encoder feature and applies a shared per-point MLP. Its first
 layer never builds that join: since concat(g, l) W = g W[:k] + l W[k:]
 exactly, the weight's global rows are applied once per cloud and the
 result is added to every point's local part.
+
+Each head runs its layers, attributes named ``conv1``, ``fc2``, ..., from
+run-order lists, which also give ``params()``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyCloudError
 from .numcore import (Conv2d, Linear, MaxPool2d, ParamTensor, ReLU,
-                       glorot_uniform)
+                       backward_layers, forward_layers, glorot_uniform)
 
 
 def grid_side(k: int) -> int:
@@ -64,31 +67,28 @@ class ClassHead:
         self.conv2 = Conv2d(16, 32, 3, rng, pad=1, name="head.conv2", dtype=dtype)
         self.relu2 = ReLU()
         self.pool2 = MaxPool2d(2)
-        self._flat_dim = 32 * (g // 4) * (g // 4)
-        self.fc1 = Linear(self._flat_dim, 256, rng, name="head.fc1", dtype=dtype)
+        self._conv_out = (32, g // 4, g // 4)
+        self.fc1 = Linear(math.prod(self._conv_out), 256, rng, name="head.fc1",
+                          dtype=dtype)
         self.relu3 = ReLU()
         self.fc2 = Linear(256, num_classes, rng, name="head.fc2", dtype=dtype)
-        self._conv_out_shape = None
+        # run order; set after the attributes, because bench/spans.py names a
+        # layer by the first attribute that holds it
+        self.convs = [self.conv1, self.pool1, self.relu1,
+                      self.conv2, self.pool2, self.relu2]
+        self.fcs = [self.fc1, self.relu3, self.fc2]
 
     def params(self) -> list[ParamTensor]:
-        return (self.conv1.params() + self.conv2.params()
-                + self.fc1.params() + self.fc2.params())
+        return [p for layer in self.convs + self.fcs for p in layer.params()]
 
     def forward(self, grid: np.ndarray) -> np.ndarray:
         """(bs, 1, g, g) -> (bs, num_classes)."""
-        h = self.relu1.forward(self.pool1.forward(self.conv1.forward(grid)))
-        h = self.relu2.forward(self.pool2.forward(self.conv2.forward(h)))
-        self._conv_out_shape = h.shape
-        h = h.reshape(h.shape[0], -1)
-        h = self.relu3.forward(self.fc1.forward(h))
-        return self.fc2.forward(h)
+        h = forward_layers(self.convs, grid)
+        return forward_layers(self.fcs, h.reshape(len(h), -1))
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
-        g = self.fc1.backward(self.relu3.backward(self.fc2.backward(dlogits)))
-        g = g.reshape(self._conv_out_shape)
-        g = self.conv2.backward(self.pool2.backward(self.relu2.backward(g)))
-        g = self.conv1.backward(self.pool1.backward(self.relu1.backward(g)))
-        return g
+        g = backward_layers(self.fcs, dlogits)
+        return backward_layers(self.convs, g.reshape(len(g), *self._conv_out))
 
 
 class SplitLinear:
@@ -150,10 +150,12 @@ class SegHead:
         self.fc2 = Linear(256, 128, rng, name="seg.fc2", dtype=dtype)
         self.relu2 = ReLU()
         self.fc3 = Linear(128, num_parts, rng, name="seg.fc3", dtype=dtype)
-        self._layout = None
+        # run order after fc1, which takes two inputs and gives two grads
+        self.per_point = [self.relu1, self.fc2, self.relu2, self.fc3]
 
     def params(self) -> list[ParamTensor]:
-        return self.fc1.params() + self.fc2.params() + self.fc3.params()
+        return [p for layer in [self.fc1] + self.per_point
+                for p in layer.params()]
 
     def forward(self, point_feats: np.ndarray, global_feat: np.ndarray
                 ) -> np.ndarray:
@@ -165,16 +167,11 @@ class SegHead:
             raise DimensionError(
                 f"seg head wants local ({bs}, N, {self.local_dim}) and global "
                 f"({bs}, {self.k}); got {point_feats.shape}, {global_feat.shape}")
-        self._layout = (bs, n)
         h = self.fc1.forward(point_feats, global_feat).reshape(bs * n, -1)
-        h = self.relu1.forward(h)
-        h = self.relu2.forward(self.fc2.forward(h))
-        return self.fc3.forward(h).reshape(bs, n, self.num_parts)
+        return forward_layers(self.per_point, h).reshape(bs, n, -1)
 
     def backward(self, dlogits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (d_point_feats (bs, N, local_dim), d_global (bs, k))."""
-        bs, n = self._layout
-        g = dlogits.reshape(bs * n, self.num_parts)
-        g = self.relu1.backward(
-            self.fc2.backward(self.relu2.backward(self.fc3.backward(g))))
+        bs, n = dlogits.shape[:2]
+        g = backward_layers(self.per_point, dlogits.reshape(bs * n, -1))
         return self.fc1.backward(g.reshape(bs, n, -1))

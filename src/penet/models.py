@@ -1,10 +1,11 @@
 """End-to-end models: one shared body (encoder + global pooling) and a head.
 
-``PENet`` owns the per-point encoder, the ``GlobalPool`` that turns its
-output into a (bs, k) global feature, the task head, the parameter list
-and the checkpoint metadata. ``Classifier`` and ``Segmenter`` only wire
-their head: the classifier reads the global feature as a g x g grid, the
-segmenter also taps the encoder's 128-wide hidden layer per point.
+``PENet`` owns the per-point encoder, the ``GlobalPool`` that min-max
+normalizes its (bs, k) per-cloud mean embeddings into the global feature,
+the task head, the parameter list and the checkpoint metadata.
+``Classifier`` and ``Segmenter`` only wire their head: the classifier
+reads the global feature as a g x g grid, the segmenter also taps the
+encoder's 128-wide hidden layer per point.
 
 Inside ``numcore.inference()`` the classifier and ``global_features`` let
 the encoder stream its per-point layers (encoder.py) and keep nothing for
@@ -61,20 +62,17 @@ class PENet:
         return self._features(points, inference_enabled())
 
     def _features(self, points: np.ndarray, stream: bool) -> np.ndarray:
-        """The encoder returns each cloud's mean embedding; GlobalPool then
-        sees a length-1 point axis, whose mean is exact, and min-max
-        normalizes it.
-        """
+        """The encoder returns each cloud's mean embedding, and GlobalPool
+        min-max normalizes it."""
         if points.ndim != 3 or points.shape[2] != self.din:
             raise DimensionError(
                 f"{type(self).__name__.lower()} expects (bs, N, {self.din}), "
                 f"got {points.shape}")
-        return self.pool.forward(
-            self.encoder.forward(points, stream=stream)[:, None, :])
+        return self.pool.forward(self.encoder.forward(points, stream=stream))
 
     def _backward_features(self, dfeat: np.ndarray, hidden_grads=None):
         """Backprop a (bs, k) global-feature gradient to the encoder."""
-        self.encoder.backward(self.pool.backward(dfeat)[:, 0],
+        self.encoder.backward(self.pool.backward(dfeat),
                               hidden_grads=hidden_grads)
 
     def metadata(self) -> dict:

@@ -4,7 +4,8 @@ Everything here operates on plain numpy arrays. Training runs in float32;
 float64 is used only when verifying gradients against finite differences.
 All layers follow the same protocol: ``forward(x)`` caches what backward
 needs, ``backward(dout)`` returns the gradient w.r.t. the input and
-accumulates parameter gradients in place.
+accumulates parameter gradients in place. A stack of them runs from one
+run-order list through ``forward_layers`` and ``backward_layers``.
 
 Inside ``inference()`` a model may skip the caches that only backward
 reads; the layers themselves behave the same either way.
@@ -58,6 +59,20 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
                    shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+
+def forward_layers(layers, x: np.ndarray) -> np.ndarray:
+    """Run x through the layers in list order."""
+    for layer in layers:
+        x = layer.forward(x)
+    return x
+
+
+def backward_layers(layers, dout: np.ndarray) -> np.ndarray:
+    """Backprop dout through the layers in reverse list order."""
+    for layer in reversed(layers):
+        dout = layer.backward(dout)
+    return dout
 
 
 class Linear:

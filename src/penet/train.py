@@ -59,7 +59,7 @@ class TrainConfig:
         if not 1 <= self.encoder_depth <= 5:
             raise ConfigError("encoder_depth must be 1..5")
         for name, low in (("epochs", 1), ("batch_size", 1), ("n_points", 1),
-                          ("lr_step", 0)):
+                          ("k", 1), ("lr_step", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(
                     f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -77,18 +77,6 @@ class MetricsReport:
 
 # --------------------------------------------------------------------------
 # Checkpoints
-
-
-def _model_class(task: str):
-    """(model class, metadata key of its output count) for a task.
-
-    The class is read from this module's globals at each call, so a caller
-    that replaces ``Classifier`` or ``Segmenter`` here (bench/run.py does,
-    to time every layer) gets its replacement from train and load_checkpoint.
-    """
-    if task == "classify":
-        return Classifier, "num_classes"
-    return Segmenter, "num_parts"
 
 
 def save_checkpoint(model, path):
@@ -189,7 +177,10 @@ def load_checkpoint(path):
     task = meta.get("task")
     if task not in ("classify", "segment"):
         raise FormatError(f"unknown task {task!r} in checkpoint metadata")
-    model_cls, n_out_key = _model_class(task)
+    # Classifier and Segmenter are looked up at each call, here and in
+    # train(), so bench/run.py can replace them to time every layer
+    classify = task == "classify"
+    n_out_key = "num_classes" if classify else "num_parts"
     din, n_out, k, depth = _meta_ints(meta, "din", n_out_key, "k",
                                       "encoder_depth")
     # din, n_out and k each size an array of a valid file, so none exceeds
@@ -201,7 +192,8 @@ def load_checkpoint(path):
             f"checkpoint metadata din={din}, {n_out_key}={n_out}, k={k} "
             f"does not fit the {n_values} values in the file")
     try:
-        model = model_cls(din, n_out, k=k, depth=depth)
+        model = (Classifier if classify else Segmenter)(din, n_out, k=k,
+                                                        depth=depth)
     except ValueError as exc:
         raise FormatError(f"checkpoint metadata describes no model: {exc}")
     core = {"task", "din", "k", "g", "encoder_depth", "num_classes", "num_parts"}
@@ -308,9 +300,8 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     n_out = num_classes if num_classes is not None else top + 1
     if top >= n_out:
         raise ConfigError(f"{what} id {top} >= num_classes {n_out}")
-    model_cls, _ = _model_class(cfg.task)
-    model = model_cls(din, n_out, k=cfg.k, depth=cfg.encoder_depth,
-                      seed=cfg.seed)
+    model = (Classifier if classify else Segmenter)(
+        din, n_out, k=cfg.k, depth=cfg.encoder_depth, seed=cfg.seed)
     model.extra_meta["train_points"] = cfg.n_points
     check_sample_count(clouds + val_clouds, cfg.n_points)
     opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else SGD(lr=cfg.lr)

@@ -240,14 +240,15 @@ def rel_err(a, b):
 
 def unpooled_pass(model, x, dlogits):
     """A Classifier's or Segmenter's forward and backward in the per-point
-    order: embed every point with the 2-D encoder path, mean-pool the
-    (bs, N, k) embeddings with GlobalPool, run the head, and backprop the
-    same chain. Returns (logits, {param name: grad}); leaves grads set."""
+    order: embed every point with the 2-D encoder path, take each cloud's
+    mean of its (N, k) embeddings, min-max it with GlobalPool, run the head,
+    and backprop the same chain. Returns (logits, {param name: grad});
+    leaves grads set."""
     bs, n, din = x.shape
     enc = model.encoder
     model.zero_grads()
     emb = enc.forward(x.reshape(bs * n, din))
-    feat = model.pool.forward(emb.reshape(bs, n, model.k))
+    feat = model.pool.forward(emb.reshape(bs, n, model.k).mean(axis=1))
     if model.task == "classify":
         g = int(round(model.k ** 0.5))
         logits = model.head.forward(feat.reshape(bs, 1, g, g))
@@ -258,9 +259,62 @@ def unpooled_pass(model, x, dlogits):
         logits = model.head.forward(enc.hidden(1).reshape(bs, n, width), feat)
         d_local, dfeat = model.head.backward(dlogits)
         hidden_grads = {1: d_local.reshape(bs * n, width)}
-    demb = model.pool.backward(dfeat)
-    enc.backward(demb.reshape(bs * n, model.k), hidden_grads=hidden_grads)
+    dmean = model.pool.backward(dfeat)
+    enc.backward(np.repeat(dmean / n, n, axis=0), hidden_grads=hidden_grads)
     return logits.copy(), {p.name: p.grad.copy() for p in model.params()}
+
+
+# -- the pooled body before the encoder took each cloud's mean ----------------
+# GlobalPool used to take the mean over the point axis itself, and the
+# encoder had a separate (m, din) per-point path; these keep both as the
+# references the (bs, k) GlobalPool and the one blockwise encoder pass must
+# match byte for byte.
+
+
+class ReferenceGlobalPool:
+    """Mean over N of (bs, N, k) embeddings, then rowwise min-max; backward
+    scatters the min/max subgradient with np.subtract.at / np.add.at and
+    broadcasts the mean's gradient, divided by N, to every point."""
+
+    def forward(self, e):
+        m = e.mean(axis=1)
+        rows = np.arange(m.shape[0])
+        imin, imax = m.argmin(axis=1), m.argmax(axis=1)
+        lo = m[rows, imin]
+        span = m[rows, imax] - lo
+        degenerate = span == 0
+        span = np.where(degenerate, 1.0, span)
+        out = (m - lo[:, None]) / span[:, None]
+        out[degenerate] = 0.0
+        self._cache = (e.shape, imin, imax, span, degenerate, out)
+        return out
+
+    def backward(self, dout):
+        shape, imin, imax, span, degenerate, out = self._cache
+        bs, n, k = shape
+        rows = np.arange(bs)
+        dmean = dout / span[:, None]
+        s_all = dout.sum(axis=1) / span
+        s_span = (dout * out).sum(axis=1) / span
+        np.subtract.at(dmean, (rows, imin), s_all)
+        np.subtract.at(dmean, (rows, imax), s_span)
+        np.add.at(dmean, (rows, imin), s_span)
+        dmean[degenerate] = 0.0
+        return np.broadcast_to((dmean / n)[:, None, :], (bs, n, k)).astype(
+            dout.dtype).copy()
+
+
+def reference_point_encoder(encoder, x):
+    """The encoder's old (m, din) path over its weights: every layer on
+    the points as rows, ReLU after each layer but the last. Returns
+    ((m, k) embeddings, [post-ReLU activation of each hidden layer])."""
+    h, hidden = x, []
+    for i, layer in enumerate(encoder.layers):
+        h = h @ layer.w.value + layer.b.value
+        if i < len(encoder.layers) - 1:
+            h = np.maximum(h, h.dtype.type(0))
+            hidden.append(h)
+    return h, hidden
 
 
 def concat_seg_head(head, local, glob, dlogits):

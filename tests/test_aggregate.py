@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penet.aggregate import GlobalPool, mean_pool, min_max_normalize, sum_pool
-from penet.errors import EmptyCloudError
+from penet.encoder import Encoder
+from penet.errors import DimensionError, EmptyCloudError
 
-from oracles import numeric_grad
+from oracles import ReferenceGlobalPool, numeric_grad
 
 
 def test_sum_pool_columnwise():
@@ -33,8 +34,11 @@ def test_empty_cloud_rejected():
     for fn in (sum_pool, mean_pool):
         with pytest.raises(EmptyCloudError):
             fn(np.zeros((0, 4)))
+    # the models take each cloud's mean in the encoder, before GlobalPool
     with pytest.raises(EmptyCloudError):
-        GlobalPool().forward(np.zeros((2, 0, 4)))
+        Encoder(4, k=9).forward(np.zeros((2, 0, 4)))
+    with pytest.raises(DimensionError):
+        GlobalPool().forward(np.zeros((2, 1, 4)))
 
 
 def test_mean_pool_examples():
@@ -70,10 +74,12 @@ def test_min_max_normalize_affine_invariant(seed, c, d):
 def test_global_feature_examples():
     e = np.array([[0.0, 1.0]])
     np.testing.assert_array_equal(min_max_normalize(mean_pool(e)), [0.0, 1.0])
-    np.testing.assert_array_equal(GlobalPool().forward(e[None]), [[0.0, 1.0]])
+    np.testing.assert_array_equal(GlobalPool().forward(mean_pool(e)[None]),
+                                  [[0.0, 1.0]])
     e = np.array([[1.0, 4.0, 2.0], [3.0, 0.0, 2.0]])      # mean [2, 2, 2]
     np.testing.assert_array_equal(min_max_normalize(mean_pool(e)), [0, 0, 0])
-    np.testing.assert_array_equal(GlobalPool().forward(e[None]), [[0, 0, 0]])
+    np.testing.assert_array_equal(
+        GlobalPool().forward(mean_pool(e)[None]), [[0, 0, 0]])
 
 
 def test_global_feature_duplication_invariant():
@@ -82,8 +88,9 @@ def test_global_feature_duplication_invariant():
     doubled = np.concatenate([e, e])
     np.testing.assert_allclose(min_max_normalize(mean_pool(doubled)),
                                min_max_normalize(mean_pool(e)), atol=1e-6)
-    np.testing.assert_allclose(GlobalPool().forward(doubled[None]),
-                               GlobalPool().forward(e[None]), atol=1e-6)
+    np.testing.assert_allclose(GlobalPool().forward(mean_pool(doubled)[None]),
+                               GlobalPool().forward(mean_pool(e)[None]),
+                               atol=1e-6)
 
 
 def test_sum_and_mean_reconcile_after_normalization():
@@ -96,7 +103,8 @@ def test_sum_and_mean_reconcile_after_normalization():
 def test_global_feature_range():
     rng = np.random.default_rng(4)
     e = rng.normal(size=(3, 30, 50))
-    for feat in [min_max_normalize(mean_pool(e[0])), *GlobalPool().forward(e)]:
+    for feat in [min_max_normalize(mean_pool(e[0])),
+                 *GlobalPool().forward(e.mean(axis=1))]:
         assert feat.min() == 0.0
         assert feat.max() == 1.0
         assert ((feat >= 0) & (feat <= 1)).all()
@@ -106,7 +114,7 @@ def test_global_pool_forward_matches_functional():
     rng = np.random.default_rng(5)
     e = rng.normal(size=(3, 7, 9))
     pool = GlobalPool()
-    out = pool.forward(e)
+    out = pool.forward(e.mean(axis=1))
     for i in range(3):
         np.testing.assert_allclose(out[i], min_max_normalize(mean_pool(e[i])),
                                    atol=1e-12)
@@ -114,15 +122,14 @@ def test_global_pool_forward_matches_functional():
 
 def test_global_pool_degenerate_rows_are_zero():
     pool = GlobalPool()
-    e = np.ones((2, 4, 5))
-    out = pool.forward(e)
+    out = pool.forward(np.ones((2, 5)))
     assert not out.any()
     assert not pool.backward(np.ones((2, 5))).any()
 
 
 def test_global_pool_backward_matches_fd():
     rng = np.random.default_rng(6)
-    e = rng.normal(size=(2, 4, 6))
+    e = rng.normal(size=(2, 6))
     w = rng.normal(size=6)
     pool = GlobalPool()
 
@@ -133,3 +140,46 @@ def test_global_pool_backward_matches_fd():
     ana = pool.backward(np.tile(w, (2, 1)))
     fd = numeric_grad(loss_fn, e)
     np.testing.assert_allclose(ana, fd, rtol=1e-6, atol=1e-8)
+
+
+def _pool_rows(rng, bs, k, levels, dtype):
+    """(bs, k) rows that are either continuous or drawn from ``levels``
+    values, so rows tie at their min and max, or are all equal when
+    levels is 1. Adding +0.0 turns -0.0 into +0.0: the old pool's mean over
+    a length-1 axis did the same, and a Linear output with a +0.0 bias is
+    never -0.0."""
+    tied = rng.integers(0, levels, size=(bs, k)) * rng.normal(size=(bs, 1))
+    m = np.where(rng.random((bs, 1)) < 0.5, tied, rng.normal(size=(bs, k)))
+    return (m + 0.0).astype(dtype)
+
+
+def _assert_pool_matches_reference(m, dout):
+    """The (bs, k) pool against the old (bs, N, k) pool at N = 1: forward
+    and backward bytes."""
+    pool, ref = GlobalPool(), ReferenceGlobalPool()
+    out, ref_out = pool.forward(m), ref.forward(m[:, None, :])
+    assert out.dtype == ref_out.dtype == m.dtype
+    assert out.tobytes() == ref_out.tobytes()
+    grad, ref_grad = pool.backward(dout), ref.backward(dout)[:, 0]
+    assert grad.dtype == ref_grad.dtype
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       bs=st.integers(1, 8), k=st.integers(1, 12), levels=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_global_pool_is_byte_equal_to_reference(dtype, bs, k, levels, seed):
+    rng = np.random.default_rng(seed)
+    _assert_pool_matches_reference(_pool_rows(rng, bs, k, levels, dtype),
+                                   rng.normal(size=(bs, k)).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_global_pool_tied_rows_are_byte_equal_to_reference(dtype):
+    # ties at both ends, an all-equal row, ties at the max; then one column
+    m = np.array([[1, 3, 1, 3], [2, 2, 2, 2], [0, 5, 5, 0], [-1, 4, 4, 4]],
+                 dtype=dtype)
+    dout = np.random.default_rng(10).normal(size=m.shape).astype(dtype)
+    _assert_pool_matches_reference(m, dout)
+    _assert_pool_matches_reference(m[:, :1].copy(), dout[:, :1].copy())

@@ -89,6 +89,17 @@ def test_classifier_span_names_unchanged(spans):
         "head.relu3", "head.fc2"]
 
 
+def test_segmenter_span_names_unchanged(spans):
+    """train-seg's expected spans use these names, as the classifier's
+    test above pins the names that train-cls and eval-sweep use."""
+    model = Segmenter(din=6, num_parts=3, k=64, depth=3, seed=0)
+    assert [name for name, _ in spans.layer_objects(model)] == [
+        "models", "encoder", "encoder.layer1", "encoder.layer2",
+        "encoder.layer3", "encoder.relus.0", "encoder.relus.1",
+        "aggregate.GlobalPool", "seg", "seg.fc1", "seg.relu1", "seg.fc2",
+        "seg.relu2", "seg.fc3"]
+
+
 def test_inference_forward_records_eval_sweep_spans(spans, expected_spans):
     """eval-sweep runs the classifier inside numcore.inference(), where the
     encoder streams its per-point layers block by block; each block must

@@ -208,6 +208,15 @@ def test_embed_non_finite_cloud(trained_ckpt, tmp_path, capsys):
     assert "finite" in _one_line_error(capsys)
 
 
+def test_embed_cloud_past_the_coordinate_bound(trained_ckpt, tmp_path, capsys):
+    # squared distances of a 1e19 cloud overflow float32
+    cloud = tmp_path / "far.txt"
+    cloud.write_text("0 0 0 0 0 1\n1e19 0 0 0 0 1\n")
+    assert main(["embed", "--ckpt", str(trained_ckpt),
+                 "--cloud", str(cloud)]) == 1
+    assert "overflow float32" in _one_line_error(capsys)
+
+
 def test_eval_bad_seg_sidecar(trained_ckpt, tmp_path, capsys):
     (tmp_path / "c.txt").write_text("0 0 0 0 0 1\n1 0 0 0 0 1\n")
     (tmp_path / "c.txt.seg").write_text("1\nx\n")
@@ -300,7 +309,7 @@ def test_config_file_not_utf8_names_file(synth_dir, tmp_path, capsys):
 def test_train_out_of_range_integers_are_one_line_errors(synth_dir, tmp_path,
                                                          capsys):
     ckpt = tmp_path / "m.ckpt"
-    for item in ("batch_size=0", "lr_step=-1", "epochs=0"):
+    for item in ("batch_size=0", "lr_step=-1", "epochs=0", "k=-4"):
         assert main(["train", "--data", str(synth_dir), "--out", str(ckpt),
                      "--set", item]) == 1
         field, _, value = item.partition("=")

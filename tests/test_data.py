@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from penet.data import (AugmentConfig, PointCloud, SYNTH_CLASSES, _fps_indices,
-                        augment, canonical_start, farthest_point_sample,
+from penet.data import (MAX_COORD, AugmentConfig, PointCloud, SYNTH_CLASSES,
+                        _fps_indices, augment, canonical_start,
+                        farthest_point_sample,
                         load_cloud_text,
                         load_dataset, load_idx_images, load_manifest, mnist_to_pointcloud,
                         normalize_batch, sample_seed, save_cloud_text,
@@ -515,6 +516,31 @@ def test_load_cloud_text_rejects_non_finite(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DataError, match="finite"):
         load_cloud_text(path)
+
+
+def test_coordinates_at_the_bound_sample_and_normalize_cleanly():
+    # corners at +-MAX_COORD give |dx| = 2 * MAX_COORD on every axis; one
+    # corner against 63 at the opposite one centers to nearly that
+    rng = np.random.default_rng(8)
+    bound = np.float32(MAX_COORD)
+    skewed = np.full((64, 3), -bound)
+    skewed[17] = bound
+    for pts in (rng.choice([-bound, bound], size=(64, 3)), skewed):
+        cloud = PointCloud(pts)
+        with np.errstate(over="raise", invalid="raise"):
+            sample = farthest_point_sample(cloud, 8, start=0)
+            unit = normalize_batch(cloud.points[:, None].copy())
+        assert np.abs(sample.points[1] - cloud.points[0]).min() == 2 * bound
+        assert np.abs(np.linalg.norm(unit, axis=2).max() - 1) < 1e-6
+
+
+@pytest.mark.parametrize("scale", [
+    np.nextafter(np.float32(MAX_COORD), np.float32(np.inf)), 1e19, -1e30])
+def test_coordinates_past_the_bound_are_rejected(scale):
+    pts = np.random.default_rng(9).normal(size=(64, 3))
+    pts[5] = [0.0, 1.0, 0.0]
+    with pytest.raises(DataError, match="overflow float32"):
+        PointCloud(pts * np.float64(scale))
 
 
 def test_seg_sidecar_roundtrip(tmp_path):

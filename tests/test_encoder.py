@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from penet.encoder import BatchLayout, Encoder, embed_batch, embed_point
-from penet.errors import DimensionError, LayoutError
+from penet.errors import DimensionError, EmptyCloudError, LayoutError
 from penet.numcore import softmax_cross_entropy, grad_check
 
-from oracles import numeric_grad
+from oracles import numeric_grad, reference_point_encoder
 
 
 def _encoder(din=6, k=32, depth=3, seed=0, dtype=np.float64):
@@ -134,3 +135,31 @@ def test_hidden_grad_injection_matches_fd():
 def test_invalid_depth_rejected():
     with pytest.raises(ValueError):
         Encoder(6, depth=6)
+
+
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       depth=st.integers(1, 5), din=st.sampled_from([3, 6]),
+       m=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_per_point_forward_is_byte_equal_to_reference(dtype, depth, din, m,
+                                                      seed):
+    """A (m, din) batch runs as m one-point clouds through the pooled
+    pass; its embeddings and cached hidden activations keep the bytes of
+    the old per-point path. Inputs include -0.0, which the mean over one
+    point turns into +0.0 before the last layer."""
+    rng = np.random.default_rng(seed)
+    enc = Encoder(din, k=16, depth=depth, rng=rng, dtype=dtype)
+    x = rng.uniform(-1, 1, size=(m, din)).astype(dtype)
+    x[rng.random((m, din)) < 0.1] = -0.0
+    out, hidden = reference_point_encoder(enc, x)
+    got = enc.forward(x)
+    assert got.dtype == out.dtype and got.tobytes() == out.tobytes()
+    assert len(enc.relus) == len(hidden)
+    for i, h in enumerate(hidden):
+        assert enc.hidden(i).tobytes() == h.tobytes(), i
+
+
+def test_empty_batch_rejected():
+    for x in (np.zeros((0, 6)), np.zeros((0, 4, 6)), np.zeros((2, 0, 6))):
+        with pytest.raises(EmptyCloudError):
+            _encoder().forward(x)

@@ -329,16 +329,16 @@ def _tiny_cfg(**kw):
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("epochs", -3), ("batch_size", 0), ("batch_size", -1),
-    ("n_points", 0), ("lr_step", -1)])
+    ("n_points", 0), ("k", 0), ("k", -4), ("lr_step", -1)])
 def test_config_rejects_out_of_range_integers(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be >= "):
         _tiny_cfg(**{field: value})
 
 
 def test_config_accepts_lowest_in_range_integers():
-    cfg = _tiny_cfg(epochs=1, batch_size=1, n_points=1, lr_step=0)
-    assert (cfg.epochs, cfg.batch_size, cfg.n_points, cfg.lr_step) == \
-        (1, 1, 1, 0)
+    cfg = _tiny_cfg(epochs=1, batch_size=1, n_points=1, k=1, lr_step=0)
+    assert (cfg.epochs, cfg.batch_size, cfg.n_points, cfg.k, cfg.lr_step) == \
+        (1, 1, 1, 1, 0)
 
 
 def test_train_smoke_finite_loss():
