@@ -26,10 +26,12 @@ radii = np.linalg.norm(norm.points, axis=1)
 print(f"after normalization: centroid {np.abs(norm.points.mean(0)).max():.1e},"
       f" max radius {radii.max():.3f}")
 
-aug = augment(norm, AugmentConfig(seed=42))
-aug_again = augment(norm, AugmentConfig(seed=42))
+# augment takes (N, 3) coordinates and a seed, and returns new coordinates;
+# training seeds each cloud from (run seed, epoch, cloud index)
+jittered = augment(norm.points, AugmentConfig(), seed=42)
 print(f"augmentation is seed-deterministic: "
-      f"{np.array_equal(aug.points, aug_again.points)}")
+      f"{np.array_equal(jittered, augment(norm.points, AugmentConfig(), 42))}")
+aug = PointCloud(jittered)
 
 workdir = Path(tempfile.mkdtemp(prefix="penet_demo_"))
 path = workdir / "cloud.txt"

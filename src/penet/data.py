@@ -8,7 +8,14 @@ and is converted to 3D clouds by sampling non-zero pixels.
 ``farthest_point_sample`` samples one cloud or a whole batch in one call;
 ``canonical_start`` gives the start that makes the sample independent of
 the order of a cloud's rows. ``normalize_batch`` centers and scales a
-batch of equal-length clouds as one array.
+batch of equal-length clouds as one array. ``augment`` takes a cloud's
+(N, 3) coordinates and its seed and returns new float32 coordinates.
+``check_coordinates`` is the one check of finite coordinates within
+``MAX_COORD``: ``PointCloud`` runs it on its points, ``augment`` on its
+result.
+
+Labels are integers >= 0: a negative class id in a manifest, or part
+label in a ``.seg`` file, raises FormatError naming the file and line.
 """
 
 from __future__ import annotations
@@ -42,12 +49,7 @@ class PointCloud:
             raise DataError(f"points must be (N, 3), got {self.points.shape}")
         if len(self.points) == 0:
             raise EmptyCloudError("point cloud must contain at least one point")
-        if not np.isfinite(self.points).all():
-            raise DataError("points must be finite (found nan or inf)")
-        peak = max(self.points.max(), -self.points.min())
-        if peak > MAX_COORD:
-            raise DataError(f"|coordinate| {peak:.4g} > {MAX_COORD:.4g}: "
-                            f"squared distances would overflow float32")
+        check_coordinates(self.points)
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=np.float32)
             if self.normals.shape != self.points.shape:
@@ -76,20 +78,44 @@ class PointCloud:
         return np.concatenate([self.points, self.normals], axis=1)
 
 
+def check_coordinates(points: np.ndarray) -> np.ndarray:
+    """Return ``points``, a non-empty array, if every coordinate is finite
+    and at most MAX_COORD in magnitude; raise DataError if not. The bound
+    is checked as ``max(points.max(), -points.min())``, which makes no
+    temporary array."""
+    if not np.isfinite(points).all():
+        raise DataError("points must be finite (found nan or inf)")
+    if (peak := max(points.max(), -points.min())) > MAX_COORD:
+        raise DataError(f"|coordinate| {peak:.4g} > {MAX_COORD:.4g}: "
+                        f"squared distances would overflow float32")
+    return points
+
+
 @dataclass
 class AugmentConfig:
+    """Training augmentation: clipped per-point jitter, one random scale
+    and one random shift per cloud. Each sample's seed is an argument of
+    ``augment``, not a field."""
+
     jitter_sigma: float = 0.01
     jitter_clip: float = 0.05
     shift_range: float = 0.1
     scale_range: tuple[float, float] = (0.8, 1.25)
-    seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value).all():
+                raise DataError(f"augment.{name} must be finite, got {value}")
         if self.jitter_sigma < 0 or self.jitter_clip < self.jitter_sigma:
-            raise DataError("need 0 <= jitter_sigma <= jitter_clip")
+            raise DataError("augment.jitter_sigma must be in [0, jitter_clip]")
+        # a wider range could shift a cloud past MAX_COORD, and rng.uniform
+        # overflows on a range wider than float64 max
+        if not 0 <= self.shift_range <= MAX_COORD:
+            raise DataError(f"augment.shift_range must be in [0, 2**62], "
+                            f"got {self.shift_range}")
         lo, hi = self.scale_range
         if not (0 < lo < hi):
-            raise DataError("scale range must satisfy 0 < low < high")
+            raise DataError("augment.scale_range must satisfy 0 < low < high")
 
 
 @dataclass
@@ -315,20 +341,21 @@ def zero_mean_normalize(cloud: PointCloud) -> PointCloud:
                       class_label=cloud.class_label)
 
 
-def augment(cloud: PointCloud, cfg: AugmentConfig) -> PointCloud:
-    """Per-point clipped Gaussian jitter, one global shift and one global
-    scale. Coordinates only; normals and labels ride along untouched."""
-    rng = np.random.default_rng(cfg.seed)
-    n = len(cloud)
-    jitter = np.clip(rng.normal(0.0, cfg.jitter_sigma, size=(n, 3))
-                     if cfg.jitter_sigma > 0 else np.zeros((n, 3)),
+def augment(points: np.ndarray, cfg: AugmentConfig, seed: int
+            ) -> np.ndarray:
+    """(points + jitter) * scale + shift of (N, 3) coordinates, as a new
+    float32 array: per-point Gaussian jitter clipped to ±cfg.jitter_clip,
+    then one scale and one shift per cloud, drawn in float64 from
+    ``default_rng(seed)``. The result passes ``check_coordinates``, as a
+    PointCloud's coordinates do."""
+    rng = np.random.default_rng(seed)
+    jitter = np.clip(rng.normal(0.0, cfg.jitter_sigma, size=points.shape)
+                     if cfg.jitter_sigma > 0 else np.zeros(points.shape),
                      -cfg.jitter_clip, cfg.jitter_clip)
     shift = rng.uniform(-cfg.shift_range, cfg.shift_range, size=3)
     scale = rng.uniform(cfg.scale_range[0], cfg.scale_range[1])
-    pts = (cloud.points + jitter) * scale + shift
-    return PointCloud(pts.astype(np.float32), normals=cloud.normals,
-                      part_labels=cloud.part_labels,
-                      class_label=cloud.class_label)
+    return check_coordinates(
+        ((points + jitter) * scale + shift).astype(np.float32))
 
 
 def sample_seed(global_seed: int, epoch: int, sample_index: int) -> int:
@@ -363,6 +390,9 @@ def _read_part_labels(seg_path, n_points: int) -> np.ndarray:
                 raise FormatError(
                     f"{seg_path}:{lineno}: part label {tok!r} is not an "
                     f"integer")
+            if labels[-1] < 0:
+                raise FormatError(
+                    f"{seg_path}:{lineno}: part label {tok} is negative")
     if len(labels) != n_points:
         raise FormatError(
             f"{seg_path}: {len(labels)} labels for {n_points} points")
@@ -439,6 +469,9 @@ def load_manifest(path) -> DatasetManifest:
             class_id = int(parts[1])
         except ValueError:
             raise FormatError(f"{path}:{lineno}: class id not an integer")
+        if class_id < 0:
+            raise FormatError(f"{path}:{lineno}: class id {class_id} is "
+                              f"negative")
         seg = parts[2] if len(parts) == 3 else None
         cloud_path = path.parent / parts[0]
         if not cloud_path.exists():

@@ -9,7 +9,8 @@ FPS picks its first n points the same whatever it goes on to pick. Each
 count's batch is then centered and scaled as one array. The sweep
 prepares each batch once and runs the model at every count before it
 moves to the next batch. Training samples its validation clouds once per
-run.
+run, then prepares its training clouds once, into one (clouds, n_points,
+din) array whose slices feed every step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -63,6 +64,10 @@ class TrainConfig:
             if getattr(self, name) < low:
                 raise ConfigError(
                     f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "lr_gamma"):
+            if not 0 < getattr(self, name) < math.inf:   # nan fails too
+                raise ConfigError(f"{name} must be finite and > 0, got "
+                                  f"{getattr(self, name)}")
 
 
 @dataclass
@@ -272,14 +277,16 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
           log_path=None, num_classes: int | None = None):
     """Train a model over in-memory clouds; returns (model, log rows).
 
-    Each sample per batch: FPS to cfg.n_points, zero-mean normalize, then
-    augment with a copy of cfg.augment whose seed is derived from
-    (cfg.seed, epoch, sample index) so the run is reproducible regardless
-    of iteration order. FPS runs once per batch in the first epoch; later
-    epochs reuse the cached samples. The validation clouds are sampled to
-    cfg.n_points once, before the first epoch, and every epoch evaluates
-    those samples. Every training and validation cloud is checked against
-    cfg.n_points before anything is sampled.
+    Every training and validation cloud is checked against cfg.n_points
+    before anything is sampled. Before the first epoch, the validation
+    clouds are sampled to cfg.n_points, and every epoch evaluates those
+    samples. Then the training clouds are prepared (FPS to cfg.n_points,
+    centered and scaled) one batch_size chunk at a time, in their order,
+    into one (clouds, n_points, din) float32 array. A step takes its
+    clouds' rows of that array and overwrites each one's coordinates with
+    ``augment(coordinates, cfg.augment, sample_seed(cfg.seed, epoch, i))``
+    for cloud index i, so the run is reproducible whatever the order of
+    the batches.
     """
     if not clouds:
         raise ConfigError("empty training set")
@@ -307,8 +314,14 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else SGD(lr=cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(0xB0,)))
-    fps_cache: dict = {}
     val_samples = _sample_to(val_clouds, [cfg.n_points] * len(val_clouds))
+    inputs = np.empty((len(clouds), cfg.n_points, din), dtype=np.float32)
+    labels = []
+    for b0 in range(0, len(clouds), cfg.batch_size):
+        chunk = clouds[b0:b0 + cfg.batch_size]
+        x, parts = next(_prepare_batch(chunk, [cfg.n_points]))
+        inputs[b0:b0 + len(chunk)] = x
+        labels += [c.class_label for c in chunk] if classify else parts
     log_rows = []
 
     for epoch in range(cfg.epochs):
@@ -321,19 +334,12 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
         total = 0
         for b0 in range(0, len(order), cfg.batch_size):
             idxs = order[b0:b0 + cfg.batch_size]
-            misses = [clouds[i] for i in idxs if id(clouds[i]) not in fps_cache]
-            if misses:
-                x, parts = next(_prepare_batch(misses, [cfg.n_points]))
-                for c, row, p in zip(misses, x, parts):
-                    fps_cache[id(c)] = PointCloud(
-                        row[:, :3], normals=row[:, 3:] if din == 6 else None,
-                        part_labels=p, class_label=c.class_label)
-            batch = [augment(fps_cache[id(clouds[i])], replace(
-                cfg.augment, seed=sample_seed(cfg.seed, epoch, int(i))))
-                for i in idxs]
-            x = np.stack([c.features() for c in batch])
+            x = inputs[idxs]
+            for j, i in enumerate(idxs):
+                x[j, :, :3] = augment(x[j, :, :3], cfg.augment,
+                                      sample_seed(cfg.seed, epoch, int(i)))
             logits = model.forward(x)
-            y = np.hstack([label_of(c) for c in batch])
+            y = np.hstack([labels[i] for i in idxs])
             flat = logits.reshape(-1, logits.shape[-1])
             loss, dflat = softmax_cross_entropy(flat, y)
             correct += int((predict(flat) == y).sum())

@@ -368,6 +368,23 @@ def reference_zero_mean_normalize(cloud):
                       class_label=cloud.class_label)
 
 
+def reference_augment(cloud, cfg):
+    """The PointCloud-in, PointCloud-out augment with its seed in the
+    config: ``cfg`` has AugmentConfig's fields plus ``seed``. Jitter,
+    shift and scale are drawn in that order from default_rng(cfg.seed)."""
+    rng = np.random.default_rng(cfg.seed)
+    n = len(cloud)
+    jitter = np.clip(rng.normal(0.0, cfg.jitter_sigma, size=(n, 3))
+                     if cfg.jitter_sigma > 0 else np.zeros((n, 3)),
+                     -cfg.jitter_clip, cfg.jitter_clip)
+    shift = rng.uniform(-cfg.shift_range, cfg.shift_range, size=3)
+    scale = rng.uniform(cfg.scale_range[0], cfg.scale_range[1])
+    pts = (cloud.points + jitter) * scale + shift
+    return PointCloud(pts.astype(np.float32), normals=cloud.normals,
+                      part_labels=cloud.part_labels,
+                      class_label=cloud.class_label)
+
+
 def reference_prepare_batch(clouds, n):
     """One FPS call for the clouds not already of size n, each from its
     canonical start, then one reference_zero_mean_normalize per cloud."""

@@ -319,6 +319,36 @@ def test_train_out_of_range_integers_are_one_line_errors(synth_dir, tmp_path,
         assert not ckpt.exists() and not ckpt.with_suffix(".log.csv").exists()
 
 
+def test_train_bad_float_values_are_one_line_errors(synth_dir, tmp_path,
+                                                    capsys):
+    ckpt = tmp_path / "m.ckpt"
+    for item in ("augment.shift_range=inf", "augment.shift_range=nan",
+                 "augment.scale_range=1,inf", "augment.shift_range=-0.1",
+                 "augment.jitter_sigma=nan", "augment.jitter_clip=inf",
+                 "augment.jitter_sigma=-0.1",
+                 "lr=-1", "lr_gamma=nan"):
+        assert main(["train", "--data", str(synth_dir), "--out", str(ckpt),
+                     "--set", item]) == 1
+        assert _one_line_error(capsys).startswith(
+            f"error: {item.partition('=')[0]} must ")
+        assert not ckpt.exists() and not ckpt.with_suffix(".log.csv").exists()
+
+
+def test_augment_seed_is_not_a_key():
+    # each sample's seed comes from the run seed, the epoch and the cloud
+    with pytest.raises(ConfigError, match="unknown config key 'augment.seed'"):
+        build_train_config(None, ["augment.seed=5"], None)
+
+
+def test_negative_class_id_is_one_line_error(trained_ckpt, tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("0 0 0 0 0 1\n1 0 0 0 0 1\n")
+    (tmp_path / "test.manifest").write_text("c.txt\t1\nc.txt\t-1\n")
+    assert main(["eval", "--ckpt", str(trained_ckpt),
+                 "--data", str(tmp_path)]) == 1
+    assert "test.manifest:2: class id -1 is negative" in \
+        _one_line_error(capsys)
+
+
 def test_config_scale_range_parse():
     cfg = build_train_config(None, ["augment.scale_range=0.9,1.1"], None)
     assert cfg.augment.scale_range == (0.9, 1.1)

@@ -1,4 +1,6 @@
 import struct
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from penet.data import (MAX_COORD, AugmentConfig, PointCloud, SYNTH_CLASSES,
 from penet.errors import (DataError, EmptyCloudError, FormatError,
                           SamplingError)
 
-from oracles import (naive_fps, reference_fps_indices,
+from oracles import (naive_fps, reference_augment, reference_fps_indices,
                      reference_zero_mean_normalize)
 
 
@@ -433,30 +435,58 @@ def test_normalize_batch_matches_per_cloud_reference(pts):
 
 def test_augment_identity_config():
     rng = np.random.default_rng(3)
-    cloud = PointCloud(rng.normal(size=(10, 3)).astype(np.float32))
+    points = rng.normal(size=(10, 3)).astype(np.float32)
     cfg = AugmentConfig(jitter_sigma=0.0, jitter_clip=0.0, shift_range=0.0,
-                        scale_range=(1.0 - 1e-12, 1.0), seed=0)
-    out = augment(cloud, cfg)
-    np.testing.assert_allclose(out.points, cloud.points, atol=1e-6)
+                        scale_range=(1.0 - 1e-12, 1.0))
+    out = augment(points, cfg, seed=0)
+    np.testing.assert_allclose(out, points, atol=1e-6)
 
 
 def test_augment_jitter_clipped():
-    cloud = PointCloud(np.zeros((2000, 3)) + 1.0)
+    points = np.ones((2000, 3), dtype=np.float32)
     cfg = AugmentConfig(jitter_sigma=0.5, jitter_clip=0.6, shift_range=0.0,
-                        scale_range=(1.0 - 1e-12, 1.0), seed=4)
-    out = augment(cloud, cfg)
-    assert (np.abs(out.points - 1.0) <= 0.6 + 1e-6).all()
+                        scale_range=(1.0 - 1e-12, 1.0))
+    out = augment(points, cfg, seed=4)
+    assert (np.abs(out - 1.0) <= 0.6 + 1e-6).all()
 
 
 def test_augment_deterministic():
     rng = np.random.default_rng(5)
-    cloud = PointCloud(rng.normal(size=(30, 3)).astype(np.float32),
-                       part_labels=rng.integers(0, 4, size=30))
-    cfg = AugmentConfig(seed=99)
-    a = augment(cloud, cfg)
-    b = augment(cloud, cfg)
-    assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.part_labels, cloud.part_labels)
+    points = rng.normal(size=(30, 3)).astype(np.float32)
+    before = points.copy()
+    a = augment(points, AugmentConfig(), seed=99)
+    b = augment(points, AugmentConfig(), seed=99)
+    assert a.dtype == np.float32 and a.shape == (30, 3)
+    assert np.array_equal(a, b)
+    # a new array; the input is left as it was
+    assert np.array_equal(points, before)
+
+
+@st.composite
+def _augment_cases(draw):
+    n = draw(st.integers(1, 300))
+    points = draw(arrays(np.float32, (n, 3), elements=st.one_of(
+        st.just(-0.0), st.floats(-100, 100, width=32))))
+    if draw(st.booleans()):             # a strided view, as train() passes
+        points = np.concatenate([points, -points], axis=1)[:, :3]
+    sigma = draw(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
+    cfg = AugmentConfig(
+        jitter_sigma=sigma, jitter_clip=sigma + draw(st.floats(0, 1)),
+        shift_range=draw(st.floats(0, 5)),
+        scale_range=draw(st.floats(0.1, 2).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.floats(lo + 1e-3, 4)))))
+    return points, cfg, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_augment_cases())
+def test_augment_is_byte_equal_to_reference(case):
+    points, cfg, seed = case
+    out = augment(points, cfg, seed)
+    ref = reference_augment(PointCloud(points),
+                            SimpleNamespace(**asdict(cfg), seed=seed))
+    assert out.dtype == np.float32 and out.shape == points.shape
+    assert out.tobytes() == ref.points.tobytes()
 
 
 def test_sample_seed_independent_of_call_order():
@@ -471,6 +501,24 @@ def test_bad_augment_config():
         AugmentConfig(jitter_sigma=0.1, jitter_clip=0.05)
     with pytest.raises(DataError):
         AugmentConfig(scale_range=(1.5, 0.5))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("jitter_sigma", float("nan")), ("jitter_clip", float("inf")),
+    ("jitter_sigma", -0.1), ("jitter_sigma", 0.1),
+    ("shift_range", float("inf")), ("shift_range", float("nan")),
+    ("shift_range", -0.1), ("shift_range", 1e308),
+    ("scale_range", (1.0, float("inf"))), ("scale_range", (float("nan"), 1.0)),
+    ("scale_range", (-1.0, 1.0))])
+def test_augment_config_rejects_bad_floats_naming_the_key(field, value):
+    with pytest.raises(DataError, match=f"augment\\.{field}"):
+        AugmentConfig(**{field: value})
+
+
+def test_augment_config_accepts_its_bounds():
+    cfg = AugmentConfig(jitter_sigma=0.0, jitter_clip=0.0, shift_range=0.0)
+    assert cfg.shift_range == 0.0
+    assert AugmentConfig(shift_range=MAX_COORD).shift_range == MAX_COORD
 
 
 # -- text format ----------------------------------------------------------------
@@ -558,6 +606,14 @@ def test_seg_sidecar_wrong_count(tmp_path):
         load_cloud_text(tmp_path / "c.txt")
 
 
+def test_seg_sidecar_negative_label_names_file_and_line(tmp_path):
+    (tmp_path / "c.txt").write_text("0 0 0\n1 1 1\n")
+    (tmp_path / "c.txt.seg").write_text("1\n-1\n")
+    with pytest.raises(FormatError,
+                       match=r"c\.txt\.seg:2: part label -1 is negative"):
+        load_cloud_text(tmp_path / "c.txt")
+
+
 def test_seg_sidecar_non_integer_names_file_and_line(tmp_path):
     (tmp_path / "c.txt").write_text("0 0 0\n1 1 1\n")
     (tmp_path / "c.txt.seg").write_text("1\nx\n")
@@ -613,6 +669,15 @@ def test_manifest_bad_class_id(tmp_path):
     m = tmp_path / "train.manifest"
     m.write_text("c.txt\tnotanumber\n")
     with pytest.raises(FormatError, match="class id"):
+        load_manifest(m)
+
+
+def test_manifest_negative_class_id_names_file_and_line(tmp_path):
+    (tmp_path / "c.txt").write_text("0 0 0\n")
+    m = tmp_path / "train.manifest"
+    m.write_text("#classes: a,b\nc.txt\t0\nc.txt\t-1\n")
+    with pytest.raises(FormatError,
+                       match=r"train\.manifest:3: class id -1 is negative"):
         load_manifest(m)
 
 

@@ -2,6 +2,7 @@ import importlib
 import json
 import struct
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from penet.train import (MetricsReport, TrainConfig, category_parts,
                          sweep_point_count, train)
 
 from oracles import (argmax_maxpool2d, gather_conv2d, naive_miou,
-                     reference_adam_step, reference_classification,
+                     reference_adam_step, reference_augment,
+                     reference_classification,
                      reference_prepare_batch, reference_segmentation,
                      reference_sweep, relu_then_pool_backward,
                      relu_then_pool_forward, where_relu)
@@ -335,6 +337,15 @@ def test_config_rejects_out_of_range_integers(field, value):
         _tiny_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", -1.0), ("lr", 0.0), ("lr", float("inf")), ("lr", float("nan")),
+    ("lr_gamma", float("nan")), ("lr_gamma", 0.0), ("lr_gamma", -0.5),
+    ("lr_gamma", float("inf"))])
+def test_config_rejects_bad_learning_rates(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite and > 0"):
+        _tiny_cfg(**{field: value})
+
+
 def test_config_accepts_lowest_in_range_integers():
     cfg = _tiny_cfg(epochs=1, batch_size=1, n_points=1, k=1, lr_step=0)
     assert (cfg.epochs, cfg.batch_size, cfg.n_points, cfg.k, cfg.lr_step) == \
@@ -533,32 +544,39 @@ def test_metrics_report_defaults():
 
 def test_train_copies_every_augment_field_per_sample(monkeypatch, tmp_path):
     aug = AugmentConfig(jitter_sigma=0.02, jitter_clip=0.04, shift_range=0.3,
-                        scale_range=(0.9, 1.2), seed=5)
+                        scale_range=(0.9, 1.2))
     cfg = _tiny_cfg(epochs=2, augment=aug)
     clouds = make_clouds(8)
     model, _ = train(clouds, cfg)
-    save_checkpoint(model, tmp_path / "replace.ckpt")
+    save_checkpoint(model, tmp_path / "new.ckpt")
 
     seen = []
-    real = train_module.augment
 
-    def by_hand(cloud, sample_cfg):
-        # the reference: every field copied by name
-        seen.append(sample_cfg)
-        return real(cloud, AugmentConfig(
+    def by_reference(points, sample_cfg, seed):
+        # the PointCloud augment, every field copied by name
+        seen.append((sample_cfg, seed))
+        return reference_augment(PointCloud(points), SimpleNamespace(
             jitter_sigma=aug.jitter_sigma, jitter_clip=aug.jitter_clip,
             shift_range=aug.shift_range, scale_range=aug.scale_range,
-            seed=sample_cfg.seed))
-    monkeypatch.setattr(train_module, "augment", by_hand)
+            seed=seed)).points
+    monkeypatch.setattr(train_module, "augment", by_reference)
     model, _ = train(clouds, cfg)
-    save_checkpoint(model, tmp_path / "by_hand.ckpt")
+    save_checkpoint(model, tmp_path / "ref.ckpt")
 
-    assert (tmp_path / "replace.ckpt").read_bytes() == \
-        (tmp_path / "by_hand.ckpt").read_bytes()
-    assert all(replace(c, seed=aug.seed) == aug for c in seen)
-    assert sorted(c.seed for c in seen) == sorted(
-        sample_seed(cfg.seed, epoch, i) for epoch in range(2)
-        for i in range(8))
+    assert (tmp_path / "new.ckpt").read_bytes() == \
+        (tmp_path / "ref.ckpt").read_bytes()
+    # one call per cloud per step, every one given cfg.augment
+    assert len(seen) == 2 * 8
+    assert all(c is cfg.augment for c, _ in seen)
+    for epoch in range(2):
+        assert sorted(seed for _, seed in seen[8 * epoch:8 * epoch + 8]) == \
+            sorted(sample_seed(cfg.seed, epoch, i) for i in range(8))
+
+
+def test_train_augmented_past_the_coordinate_bound_is_data_error():
+    cfg = _tiny_cfg(augment=AugmentConfig(scale_range=(1e19, 2e19)))
+    with pytest.raises(DataError, match="overflow float32"):
+        train(make_clouds(8), cfg)
 
 
 # -- batched FPS: one farthest_point_sample call per batch ----------------------
@@ -777,6 +795,46 @@ def test_training_is_byte_equal_with_reference_prep(task, monkeypatch,
     assert [row[:4] for row in log] == [row[:4] for row in ref_log]
     assert (tmp_path / "new.ckpt").read_bytes() == \
         (tmp_path / "ref.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("task", ["classify", "segment"])
+def test_training_steps_see_the_reference_pipeline(task, monkeypatch):
+    """Each epoch, the steps' input rows are the reference-prepared clouds
+    with reference_augment's coordinates for (seed, epoch, cloud), each
+    cloud once, and each row's labels are its cloud's."""
+    clouds = mixed_clouds(10, [40, 48])
+    cfg = _tiny_cfg(task=task, epochs=3, n_points=24, seed=2)
+    inputs, targets = [], []
+    base = Classifier if task == "classify" else Segmenter
+
+    class Recording(base):
+        def forward(self, x):
+            inputs.append(x.copy())
+            return super().forward(x)
+    real_loss = train_module.softmax_cross_entropy
+
+    def recording_loss(flat, y):
+        targets.append(y.copy())
+        return real_loss(flat, y)
+    monkeypatch.setattr(train_module, base.__name__, Recording)
+    monkeypatch.setattr(train_module, "softmax_cross_entropy", recording_loss)
+    train(clouds, cfg)
+
+    prepared = reference_prepare_batch(clouds, cfg.n_points)
+    steps = len(inputs) // cfg.epochs
+    assert steps == 3 and len(targets) == len(inputs)
+    for epoch in range(cfg.epochs):
+        expected = {reference_augment(cloud, SimpleNamespace(
+            **asdict(cfg.augment), seed=sample_seed(cfg.seed, epoch, i))
+        ).features().tobytes(): i for i, cloud in enumerate(prepared)}
+        for x, y in zip(inputs[epoch * steps:(epoch + 1) * steps],
+                        targets[epoch * steps:(epoch + 1) * steps]):
+            for row, row_y in zip(x, y.reshape(len(x), -1)):
+                i = expected.pop(row.tobytes())
+                want = prepared[i].class_label if task == "classify" \
+                    else prepared[i].part_labels
+                assert np.array_equal(row_y, np.atleast_1d(want))
+        assert not expected
 
 
 # -- permutation invariance of the whole evaluation pipeline --------------------
