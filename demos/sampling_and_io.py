@@ -33,17 +33,18 @@ print(f"augmentation is seed-deterministic: "
       f"{np.array_equal(jittered, augment(norm.points, AugmentConfig(), 42))}")
 aug = PointCloud(jittered)
 
-workdir = Path(tempfile.mkdtemp(prefix="penet_demo_"))
-path = workdir / "cloud.txt"
-save_cloud_text(aug, path)
-back = load_cloud_text(path)
-print(f"text roundtrip max error: "
-      f"{np.abs(back.points - aug.points).max():.1e}")
+with tempfile.TemporaryDirectory(prefix="penet_demo_") as tmp:
+    workdir = Path(tmp)
+    path = workdir / "cloud.txt"
+    save_cloud_text(aug, path)
+    back = load_cloud_text(path)
+    print(f"text roundtrip max error: "
+          f"{np.abs(back.points - aug.points).max():.1e}")
 
-model = Classifier(din=3, num_classes=4, k=64, seed=0)
-ckpt = workdir / "model.ckpt"
-save_checkpoint(model, ckpt)
-restored = load_checkpoint(ckpt)
-same = all(np.array_equal(a.value, b.value)
-           for a, b in zip(model.params(), restored.params()))
-print(f"checkpoint roundtrip bit-identical weights: {same}")
+    model = Classifier(din=3, num_classes=4, k=64, seed=0)
+    ckpt = workdir / "model.ckpt"
+    save_checkpoint(model, ckpt)
+    restored = load_checkpoint(ckpt)
+    same = all(np.array_equal(a.value, b.value)
+               for a, b in zip(model.params(), restored.params()))
+    print(f"checkpoint roundtrip bit-identical weights: {same}")

@@ -14,20 +14,23 @@ from penet import (TrainConfig, evaluate_classification, sweep_point_count,
                    synth_shapes, train)
 from penet.data import load_dataset
 
-workdir = Path(tempfile.mkdtemp(prefix="penet_demo_"))
-print(f"writing dataset under {workdir}")
-train_manifest = synth_shapes(workdir, n_per_class=30, n_points=1024, seed=0)
-test_manifest = synth_shapes(workdir, n_per_class=10, n_points=1024, seed=1,
-                             split="test")
+# the clouds are read into memory, so the files go when the block ends
+with tempfile.TemporaryDirectory(prefix="penet_demo_") as tmp:
+    workdir = Path(tmp)
+    print(f"writing dataset under {workdir}")
+    train_clouds = load_dataset(
+        synth_shapes(workdir, n_per_class=30, n_points=1024, seed=0))
+    test_clouds = load_dataset(
+        synth_shapes(workdir, n_per_class=10, n_points=1024, seed=1,
+                     split="test"))
 
 cfg = TrainConfig(task="classify", epochs=10, batch_size=16, n_points=256,
                   k=1024, seed=0)
-model, log = train(load_dataset(train_manifest), cfg)
+model, log = train(train_clouds, cfg)
 for epoch, loss, train_acc, _val_acc, seconds in log:
     print(f"epoch {epoch:2d}  loss {loss:.4f}  train_acc {train_acc:.3f}  "
           f"({seconds:.1f}s)")
 
-test_clouds = load_dataset(test_manifest)
 report = evaluate_classification(model, test_clouds, cfg.n_points)
 print(f"test instance accuracy {report.instance_accuracy:.3f}, "
       f"class accuracy {report.class_accuracy:.3f}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, EmptyCloudError
+from .numcore import for_backward, from_forward
 
 
 def sum_pool(embeddings: np.ndarray) -> np.ndarray:
@@ -69,13 +70,11 @@ class GlobalPool:
         if m.ndim != 2:
             raise DimensionError(f"expected (bs, k), got {m.shape}")
         out, imin, imax, span, degenerate = _min_max_rows(m)
-        self._cache = (imin, imax, span, degenerate, out)
+        self._cache = for_backward((imin, imax, span, degenerate, out))
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        imin, imax, span, degenerate, out = self._cache
+        imin, imax, span, degenerate, out = from_forward(self._cache)
         rows = np.arange(len(dout))
         # y_i = (m_i - lo)/(hi - lo):
         #   dm = dy/span;  dm[argmin] -= sum(dy)/span

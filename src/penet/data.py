@@ -15,7 +15,8 @@ batch of equal-length clouds as one array. ``augment`` takes a cloud's
 result.
 
 Labels are integers >= 0: a negative class id in a manifest, or part
-label in a ``.seg`` file, raises FormatError naming the file and line.
+label in a ``.seg`` file, raises FormatError naming the file and line, and
+``PointCloud`` rejects a negative label with DataError.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class PointCloud:
             self.part_labels = np.asarray(self.part_labels, dtype=np.int64)
             if self.part_labels.shape != (len(self.points),):
                 raise DataError("part labels must have one entry per point")
+            if (self.part_labels < 0).any():
+                raise DataError(f"part label {self.part_labels.min()} is "
+                                f"negative")
+        if self.class_label is not None and self.class_label < 0:
+            raise DataError(f"class label {self.class_label} is negative")
 
     def __len__(self) -> int:
         return len(self.points)

@@ -8,12 +8,14 @@ cloud's last hidden activation is averaged, and the last layer maps one
 row per cloud, so the (bs*N, k) embedding matrix is never built. A (m, din)
 batch is m one-point clouds, whose means are their rows.
 
-Training takes the whole batch as one block and caches every hidden
+Training takes the whole batch as one block and keeps every hidden
 activation for backward. A forward that only needs the output streams:
 blocks of whole clouds, at most STREAM_ROWS rows or one cloud each, keep
 only each cloud's mean. A row's products and a cloud's mean are the same
 computations in a block as in the whole batch, so the output bits are too;
-each block's activations are small enough to stay in cache.
+each block's activations are small enough to stay in cache. Inside
+``numcore.inference()`` the layers keep no backward caches either, streamed
+or not, so ``backward`` raises until the next forward outside it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyCloudError, LayoutError
-from .numcore import Linear, ParamTensor, ReLU
+from .numcore import Linear, ParamTensor, ReLU, inference_enabled
 
 # hidden widths per depth; the last layer always maps to k
 _DEPTH_WIDTHS = {
@@ -73,9 +75,8 @@ class Encoder:
             for i in range(len(widths) - 1)
         ]
         self.relus = [ReLU() for _ in range(len(self.layers) - 1)]
-        self._hidden: list[np.ndarray] = []
+        self._hidden: list[np.ndarray] | None = []
         self._n_points = 1
-        self._streamed = False
 
     def params(self) -> list[ParamTensor]:
         return [p for layer in self.layers for p in layer.params()]
@@ -84,12 +85,12 @@ class Encoder:
         """Pool bs clouds, (bs, N, din) -> (bs, k) mean embeddings, or embed
         m points, (m, din) -> (m, k), as m one-point clouds.
 
-        The hidden layers run over the whole batch as one block and cache
+        The hidden layers run over the whole batch as one block and keep
         their activations per point as (bs*N, width); ``hidden(i)`` is the
         post-ReLU output of layer i+1 (the 128-wide layer-2 output feeds
-        the segmentation head). With ``stream`` they run block by block and
-        keep nothing, so ``hidden`` and ``backward`` raise until the next
-        forward without it.
+        the segmentation head). With ``stream``, a forward inside
+        ``numcore.inference()`` runs them block by block and keeps nothing,
+        so ``hidden`` raises until the next forward that does not stream.
         """
         if x.ndim not in (2, 3) or x.shape[-1] != self.din:
             raise DimensionError(
@@ -99,33 +100,33 @@ class Encoder:
             raise EmptyCloudError("cannot embed an empty batch or cloud")
         x = x.reshape(len(x), -1, self.din)          # (m, din) -> (m, 1, din)
         bs, n = x.shape[:2]
-        self._n_points, self._streamed = n, stream
+        self._n_points = n
+        stream = stream and inference_enabled()
         step = max(1, STREAM_ROWS // n) if stream else bs
-        h = np.concatenate([self._point_mean(x[c:c + step])
+        h = np.concatenate([self._point_mean(x[c:c + step], keep=not stream)
                             for c in range(0, bs, step)])
         return self.layers[-1].forward(h)
 
-    def _point_mean(self, x: np.ndarray) -> np.ndarray:
+    def _point_mean(self, x: np.ndarray, keep: bool) -> np.ndarray:
         """(c, N, din) clouds -> (c, width) mean last hidden activation:
         the layers before the last, each with its ReLU, over the points as
-        (c*N, din) rows; every output is kept in ``_hidden``."""
+        (c*N, din) rows; with ``keep``, every output is kept in
+        ``_hidden``."""
         h = x.reshape(-1, self.din)
-        self._hidden = []
+        # drop the last forward's activations before making new ones
+        self._hidden = [] if keep else None
         for layer, relu in zip(self.layers, self.relus):
             h = relu.forward(layer.forward(h))
-            self._hidden.append(h)
+            if keep:
+                self._hidden.append(h)
         return h.reshape(*x.shape[:2], -1).mean(axis=1)
 
-    def check_cached(self, what: str):
-        """Raise if the last forward streamed and kept no activations."""
-        if self._streamed:
-            raise RuntimeError(
-                f"{what} after an inference forward, which keeps no "
-                f"per-point activations; run forward outside "
-                f"numcore.inference() first")
-
     def hidden(self, index: int) -> np.ndarray:
-        self.check_cached(f"Encoder.hidden({index})")
+        if self._hidden is None:
+            raise RuntimeError(
+                f"Encoder.hidden({index}) after an inference forward, which "
+                f"keeps no per-point activations; run forward outside "
+                f"numcore.inference() first")
         return self._hidden[index]
 
     def backward(self, dout: np.ndarray,
@@ -139,7 +140,6 @@ class Encoder:
         outputs (segmentation taps the layer-2 features directly, so that
         branch's gradient joins the main path here).
         """
-        self.check_cached("Encoder.backward")
         g = self.layers[-1].backward(dout)
         g = np.repeat(g / self._n_points, self._n_points, axis=0)
         for i in range(len(self.relus) - 1, -1, -1):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DimensionError, EmptyCloudError
 from .numcore import (Conv2d, Linear, MaxPool2d, ParamTensor, ReLU,
-                       backward_layers, forward_layers, glorot_uniform)
+                       backward_layers, for_backward, forward_layers,
+                       from_forward, glorot_uniform)
 
 
 def grid_side(k: int) -> int:
@@ -116,21 +117,20 @@ class SplitLinear:
     def forward(self, local: np.ndarray, glob: np.ndarray) -> np.ndarray:
         """(bs, N, local_dim) + (bs, k) -> (bs, N, dout)."""
         bs, n, d = local.shape
-        self._local, self._glob = local, glob
+        self._local, self._glob = for_backward(local), for_backward(glob)
         w = self.w.value
         per_point = (local.reshape(bs * n, d) @ w[self.k:]).reshape(bs, n, -1)
         return per_point + (glob @ w[:self.k] + self.b.value)[:, None, :]
 
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bs, N, dout) -> (d_local (bs, N, local_dim), d_global (bs, k))."""
-        if self._local is None:
-            raise RuntimeError("backward called before forward")
-        bs, n, d = self._local.shape
+        local = from_forward(self._local)
+        bs, n, d = local.shape
         w, k = self.w.value, self.k
         flat = dout.reshape(bs * n, -1)
         per_cloud = dout.sum(axis=1)
         self.w.grad[:k] += self._glob.T @ per_cloud
-        self.w.grad[k:] += self._local.reshape(bs * n, d).T @ flat
+        self.w.grad[k:] += local.reshape(bs * n, d).T @ flat
         self.b.grad += per_cloud.sum(axis=0)
         return (flat @ w[k:].T).reshape(bs, n, d), per_cloud @ w[:k].T
 

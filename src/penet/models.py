@@ -7,10 +7,11 @@ the task head, the parameter list and the checkpoint metadata.
 reads the global feature as a g x g grid, the segmenter also taps the
 encoder's 128-wide hidden layer per point.
 
-Inside ``numcore.inference()`` the classifier and ``global_features`` let
-the encoder stream its per-point layers (encoder.py) and keep nothing for
-backward. The segmenter never streams: its head reads every point's
-hidden feature.
+Inside ``numcore.inference()`` no layer keeps a backward cache, and the
+classifier and ``global_features`` let the encoder stream its per-point
+layers (encoder.py). The segmenter never streams: its head reads every
+point's hidden feature in the same forward. After an inference forward,
+either model's ``backward`` raises before it touches a gradient.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class PENet:
         self.pool = GlobalPool()
         self.head = make_head(rng)
         self.extra_meta: dict = {}
+        self._inferred = False
 
     def params(self) -> list[ParamTensor]:
         return self.encoder.params() + self.head.params()
@@ -59,7 +61,7 @@ class PENet:
     def global_features(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, k) normalized global features; streamed
         inside ``numcore.inference()``."""
-        return self._features(points, inference_enabled())
+        return self._features(points, stream=True)
 
     def _features(self, points: np.ndarray, stream: bool) -> np.ndarray:
         """The encoder returns each cloud's mean embedding, and GlobalPool
@@ -68,7 +70,17 @@ class PENet:
             raise DimensionError(
                 f"{type(self).__name__.lower()} expects (bs, N, {self.din}), "
                 f"got {points.shape}")
+        # global_features alone leaves the head's caches from an earlier
+        # forward, so a layer's own check cannot tell that they are stale
+        self._inferred = inference_enabled()
         return self.pool.forward(self.encoder.forward(points, stream=stream))
+
+    def _check_backward(self):
+        if self._inferred:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward after an inference forward, "
+                f"which keeps no backward caches; run forward outside "
+                f"numcore.inference() first")
 
     def _backward_features(self, dfeat: np.ndarray, hidden_grads=None):
         """Backprop a (bs, k) global-feature gradient to the encoder."""
@@ -102,7 +114,7 @@ class Classifier(PENet):
         return self.head.forward(reshape_grid(self.global_features(points)))
 
     def backward(self, dlogits: np.ndarray):
-        self.encoder.check_cached("Classifier.backward")
+        self._check_backward()
         self._backward_features(self.head.backward(dlogits).reshape(-1, self.k))
 
 
@@ -134,6 +146,7 @@ class Segmenter(PENet):
         return self.head.forward(local, feat)
 
     def backward(self, dlogits: np.ndarray):
+        self._check_backward()
         d_local, d_global = self.head.backward(dlogits)
         self._backward_features(d_global, hidden_grads={
             self.LOCAL_LAYER: d_local.reshape(-1, self.LOCAL_DIM)})

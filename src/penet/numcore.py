@@ -7,8 +7,10 @@ needs, ``backward(dout)`` returns the gradient w.r.t. the input and
 accumulates parameter gradients in place. A stack of them runs from one
 run-order list through ``forward_layers`` and ``backward_layers``.
 
-Inside ``inference()`` a model may skip the caches that only backward
-reads; the layers themselves behave the same either way.
+Inside ``inference()`` no backward follows, so every layer stores
+``for_backward(cache)``, which is None there: a forward keeps no backward
+cache and drops the one a training forward left, and a backward after it
+raises. The outputs are the same bits either way.
 """
 
 from __future__ import annotations
@@ -38,6 +40,22 @@ def inference():
 
 def inference_enabled() -> bool:
     return _inference
+
+
+def for_backward(cache):
+    """What a layer's forward stores for its backward: ``cache``, or None
+    inside ``inference()``."""
+    return None if _inference else cache
+
+
+def from_forward(cache):
+    """The cache a layer's backward reads; raise if no forward outside
+    ``inference()`` stored one."""
+    if cache is None:
+        raise RuntimeError("backward before a forward, or after an inference "
+                           "forward, which keeps no backward caches; run "
+                           "forward outside numcore.inference() first")
+    return cache
 
 
 @dataclass
@@ -94,13 +112,11 @@ class Linear:
             raise DimensionError(
                 f"linear expects (n, {self.din}), got {x.shape} against weights "
                 f"{self.w.value.shape}")
-        self._x = x
+        self._x = for_backward(x)
         return x @ self.w.value + self.b.value
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.w.grad += self._x.T @ dout
+        self.w.grad += from_forward(self._x).T @ dout
         self.b.grad += dout.sum(axis=0)
         return dout @ self.w.value.T
 
@@ -120,13 +136,12 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.maximum(x, x.dtype.type(0))
-        return self._out
+        out = np.maximum(x, x.dtype.type(0))
+        self._out = for_backward(out)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return dout * (self._out > 0)
+        return dout * (from_forward(self._out) > 0)
 
 
 class Conv2d:
@@ -191,15 +206,13 @@ class Conv2d:
             for v in range(k):
                 cols[..., u, v] = xt[:, u:u + oh, v:v + ow]
         cols = cols.reshape(n, oh, ow, c * k * k)
-        self._cols = cols
+        self._cols = for_backward(cols)
         out = cols @ self.w.value.reshape(self.cout, -1).T   # (n, oh, ow, cout)
         out += self.b.value
         return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cols is None:
-            raise RuntimeError("backward called before forward")
-        cols, self._cols = self._cols, None
+        cols, self._cols = from_forward(self._cols), None
         n, oh, ow, ckk = cols.shape
         c, k, p = self.cin, self.ksize, self.pad
         h, w = oh + k - 1 - 2 * p, ow + k - 1 - 2 * p
@@ -257,15 +270,13 @@ class MaxPool2d:
             # of the first zero cell by writing the zero cells last to first
             for view in reversed(views):
                 np.copyto(out, view, where=zero & (view == 0))
-        self._x, self._out = x, out
+        self._x, self._out = for_backward(x), for_backward(out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
         # the cache serves one backward; dropping it frees the input before
         # the optimizer step
-        x, out = self._x, self._out
+        x, out = self._x, from_forward(self._out)
         self._x = self._out = None
         oh, ow = out.shape[2:]
         dx = np.zeros(x.shape, dtype=dout.dtype)

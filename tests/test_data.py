@@ -720,3 +720,16 @@ def test_pointcloud_invariants():
         PointCloud(np.zeros((2, 3)), normals=np.zeros((2, 3)))  # not unit
     with pytest.raises(DataError):
         PointCloud(np.zeros((2, 3)), part_labels=[1])
+
+
+def test_pointcloud_rejects_negative_class_label():
+    with pytest.raises(DataError, match="class label -1 is negative"):
+        PointCloud(np.zeros((2, 3)), class_label=-1)
+    assert PointCloud(np.zeros((2, 3)), class_label=0).class_label == 0
+
+
+def test_pointcloud_rejects_negative_part_label():
+    with pytest.raises(DataError, match="part label -2 is negative"):
+        PointCloud(np.zeros((3, 3)), part_labels=[0, -2, 1])
+    cloud = PointCloud(np.zeros((2, 3)), part_labels=[0, 1])
+    assert cloud.part_labels.tolist() == [0, 1]

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the current API."""
+"""Every script in demos/ runs to completion against the current API and
+leaves no temporary directory behind."""
 
 import os
 import subprocess
@@ -19,3 +20,5 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
+    # demos write under TMPDIR and must remove what they wrote there
+    assert not list(tmp_path.glob("penet_demo_*"))

@@ -80,7 +80,8 @@ def test_segmenter_never_streams():
         inferred = model.forward(x)
     assert inferred.tobytes() == logits.tobytes()
     assert model.encoder.hidden(1).shape == (3 * 900, 128)
-    model.backward(np.ones_like(inferred))
+    with pytest.raises(RuntimeError, match="inference forward"):
+        model.backward(np.ones_like(inferred))
 
 
 def _train_step(model, x, y):
