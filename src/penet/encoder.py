@@ -15,7 +15,8 @@ only each cloud's mean. A row's products and a cloud's mean are the same
 computations in a block as in the whole batch, so the output bits are too;
 each block's activations are small enough to stay in cache. Inside
 ``numcore.inference()`` the layers keep no backward caches either, streamed
-or not, so ``backward`` raises until the next forward outside it.
+or not, so ``backward`` raises until the next forward outside it, and each
+Linear adds its bias in place, one array per layer per block.
 """
 
 from __future__ import annotations
@@ -138,13 +139,13 @@ class Encoder:
         each of its N points divided by N (exactly itself at N = 1).
         ``hidden_grads`` injects extra per-point gradient at cached hidden
         outputs (segmentation taps the layer-2 features directly, so that
-        branch's gradient joins the main path here).
+        branch's gradient is added in place into the main path's here).
         """
         g = self.layers[-1].backward(dout)
         g = np.repeat(g / self._n_points, self._n_points, axis=0)
         for i in range(len(self.relus) - 1, -1, -1):
             if hidden_grads and i in hidden_grads:
-                g = g + hidden_grads[i]
+                g += hidden_grads[i]
             g = self.layers[i].backward(self.relus[i].backward(g))
         return g
 

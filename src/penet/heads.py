@@ -5,6 +5,10 @@ Classification reshapes the k-dim global feature into a g x g grid
 Each conv stage pools before its ReLU, so the ReLU sees a quarter of the
 cells; relu(max(x)) = max(relu(x)) exactly, and both orders send the
 gradient to the same cell, or only zeros when the window's max is <= 0.
+The conv stack's activations and gradients are NCHW views of channels-last
+memory (numcore.Conv2d). The only copies between the two orders are at
+fc1, whose weight rows are in (c, h, w) order: the flatten before it in
+forward, and its input gradient back to channels-last in backward.
 Segmentation joins the cloud's global feature with each point's 128-wide
 intermediate encoder feature and applies a shared per-point MLP. Its first
 layer never builds that join: since concat(g, l) W = g W[:k] + l W[k:]
@@ -89,7 +93,10 @@ class ClassHead:
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         g = backward_layers(self.fcs, dlogits)
-        return backward_layers(self.convs, g.reshape(len(g), *self._conv_out))
+        # back to channels-last, the order of the activations it meets
+        g = g.reshape(len(g), *self._conv_out).transpose(0, 2, 3, 1)
+        return backward_layers(self.convs,
+                               np.ascontiguousarray(g).transpose(0, 3, 1, 2))
 
 
 class SplitLinear:
@@ -98,7 +105,8 @@ class SplitLinear:
 
     One (k + local_dim, dout) weight, as for a Linear over the joined
     feature; its first k rows act on the (bs, k) global feature once per
-    cloud, the rest on the (bs, N, local_dim) local features.
+    cloud, the rest on the (bs, N, local_dim) local features. The per-cloud
+    rows are added in place into the per-point product.
     """
 
     def __init__(self, k: int, local_dim: int, dout: int,
@@ -120,7 +128,8 @@ class SplitLinear:
         self._local, self._glob = for_backward(local), for_backward(glob)
         w = self.w.value
         per_point = (local.reshape(bs * n, d) @ w[self.k:]).reshape(bs, n, -1)
-        return per_point + (glob @ w[:self.k] + self.b.value)[:, None, :]
+        per_point += (glob @ w[:self.k] + self.b.value)[:, None, :]
+        return per_point
 
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bs, N, dout) -> (d_local (bs, N, local_dim), d_global (bs, k))."""

@@ -11,7 +11,9 @@ Inside ``numcore.inference()`` no layer keeps a backward cache, and the
 classifier and ``global_features`` let the encoder stream its per-point
 layers (encoder.py). The segmenter never streams: its head reads every
 point's hidden feature in the same forward. After an inference forward,
-either model's ``backward`` raises before it touches a gradient.
+or after a ``global_features`` call, which leaves the head's caches from
+an earlier batch, either model's ``backward`` raises before it touches a
+gradient.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class PENet:
         self.pool = GlobalPool()
         self.head = make_head(rng)
         self.extra_meta: dict = {}
-        self._inferred = False
+        # the call after which backward cannot run, or None when it can
+        self._stale: str | None = None
 
     def params(self) -> list[ParamTensor]:
         return self.encoder.params() + self.head.params()
@@ -60,8 +63,11 @@ class PENet:
 
     def global_features(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, k) normalized global features; streamed
-        inside ``numcore.inference()``."""
-        return self._features(points, stream=True)
+        inside ``numcore.inference()``. The head's caches stay those of an
+        earlier forward, so ``backward`` raises until the next forward."""
+        feat = self._features(points, stream=True)
+        self._stale = self._stale or "global_features"
+        return feat
 
     def _features(self, points: np.ndarray, stream: bool) -> np.ndarray:
         """The encoder returns each cloud's mean embedding, and GlobalPool
@@ -70,17 +76,16 @@ class PENet:
             raise DimensionError(
                 f"{type(self).__name__.lower()} expects (bs, N, {self.din}), "
                 f"got {points.shape}")
-        # global_features alone leaves the head's caches from an earlier
-        # forward, so a layer's own check cannot tell that they are stale
-        self._inferred = inference_enabled()
+        # a layer's own check cannot tell stale caches from fresh ones
+        self._stale = "an inference forward" if inference_enabled() else None
         return self.pool.forward(self.encoder.forward(points, stream=stream))
 
     def _check_backward(self):
-        if self._inferred:
+        if self._stale:
             raise RuntimeError(
-                f"{type(self).__name__}.backward after an inference forward, "
-                f"which keeps no backward caches; run forward outside "
-                f"numcore.inference() first")
+                f"{type(self).__name__}.backward after {self._stale}, which "
+                f"leaves the model without one forward's caches; run forward "
+                f"outside numcore.inference() first")
 
     def _backward_features(self, dfeat: np.ndarray, hidden_grads=None):
         """Backprop a (bs, k) global-feature gradient to the encoder."""
@@ -111,7 +116,8 @@ class Classifier(PENet):
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, num_classes)."""
-        return self.head.forward(reshape_grid(self.global_features(points)))
+        feat = self._features(points, stream=True)
+        return self.head.forward(reshape_grid(feat))
 
     def backward(self, dlogits: np.ndarray):
         self._check_backward()

@@ -99,6 +99,24 @@ def test_backward_after_interleaved_inference_forward_raises(task, inferred):
     assert not any(p.grad.any() for p in model.params())
 
 
+@pytest.mark.parametrize("task", sorted(MODELS))
+@pytest.mark.parametrize("bs", [3, 5])
+def test_backward_after_global_features_raises(task, bs):
+    # global_features refills the encoder's and GlobalPool's caches but not
+    # the head's; at bs = 3 the stale mix has the shapes of a fresh one
+    model = MODELS[task]()
+    logits = model.forward(_batch())
+    model.global_features(_batch(seed=1, bs=bs))
+    name = type(model).__name__
+    with pytest.raises(RuntimeError,
+                       match=f"{name}.backward after global_features"):
+        model.backward(np.ones_like(logits))
+    assert not any(p.grad.any() for p in model.params())
+    # the next forward makes backward valid again
+    model.backward(np.ones_like(model.forward(_batch())))
+    assert any(p.grad.any() for p in model.params())
+
+
 def _grads(model, x, labels):
     model.zero_grads()
     logits = model.forward(x)

@@ -1,10 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from penet.errors import DimensionError, EmptyCloudError
 from penet.heads import ClassHead, SegHead, grid_side, predict, reshape_grid
 from penet.models import Classifier, Segmenter
-from penet.numcore import softmax_cross_entropy
+from penet.numcore import inference, softmax_cross_entropy
 
 from oracles import (concat_seg_head, naive_conv2d, naive_linear,
                      naive_maxpool2d)
@@ -61,6 +63,40 @@ def test_class_head_matches_naive_layer_by_layer():
     h = np.maximum(naive_linear(h, head.fc1.w.value, head.fc1.b.value), 0.0)
     expected = naive_linear(h, head.fc2.w.value, head.fc2.b.value)
     np.testing.assert_allclose(out, expected, atol=1e-5)
+
+
+@pytest.mark.parametrize("inferred", [False, True])
+def test_conv_stack_activations_stay_channels_last(inferred):
+    # the head's speed rests on no conv-stack layer copying its activation
+    # to NCHW memory: each output is an NCHW view of (n, h, w, c) memory,
+    # and each gradient has its channels innermost too
+    model = Classifier(din=3, num_classes=4, k=1024, seed=0)
+    channels = {"conv1": 16, "pool1": 16, "relu1": 16, "conv2": 32,
+                "pool2": 32, "relu2": 32}
+    outputs, grads = {}, {}
+    for name in channels:
+        layer = getattr(model.head, name)
+
+        def record(x, name=name, forward=layer.forward):
+            outputs[name] = forward(x)
+            return outputs[name]
+
+        def record_grad(dout, name=name, backward=layer.backward):
+            grads[name] = dout
+            return backward(dout)
+        layer.forward, layer.backward = record, record_grad
+    x = np.random.default_rng(0).uniform(-1, 1, size=(16, 64, 3)).astype(
+        np.float32)
+    with inference() if inferred else contextlib.nullcontext():
+        logits = model.forward(x)
+    assert outputs.keys() == channels.keys()
+    for name, out in outputs.items():
+        assert out.shape[:2] == (16, channels[name]), name
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous, name
+    if not inferred:
+        model.backward(np.ones_like(logits))
+        assert grads.keys() == channels.keys()
+        assert all(g.strides[1] == g.itemsize for g in grads.values())
 
 
 def test_seg_head_permutation_equivariant():

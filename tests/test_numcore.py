@@ -325,6 +325,80 @@ def test_maxpool_ties_route_to_first_cell(dtype, window, h, w):
     assert not dx[:, :, :, ow * window:].any()
 
 
+# -- channels-last layout -----------------------------------------------------
+# ClassHead's activations are NCHW views of channels-last memory; each
+# layer must give the oracle's bytes for them and keep that memory order.
+
+def _channels_last(a):
+    """a's values as an NCHW-shaped view of (n, h, w, c) memory."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _is_channels_last(a):
+    """Channels innermost in memory; a padded buffer's interior counts."""
+    return a.strides[1] == a.itemsize
+
+
+LAYOUTS = [(False, True), (True, False), (True, True)]   # (x, dout)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_last,dout_last", LAYOUTS)
+# 1, 3 and 5 images leave the last im2col block partly full; 16 -> 32 over
+# 8 x 8 is ClassHead's conv2
+@pytest.mark.parametrize("n,c,cout,hw", [(1, 1, 16, 9), (3, 16, 32, 8),
+                                         (5, 3, 4, 5)])
+def test_conv_channels_last_matches_gather_oracle_bytewise(
+        dtype, x_last, dout_last, n, c, cout, hw):
+    rng = np.random.default_rng(n * 100 + c)
+    conv = Conv2d(c, cout, 3, rng, pad=1, dtype=dtype)
+    conv.b.value[...] = rng.normal(size=cout)
+    x = _with_zeros(rng, rng.normal(size=(n, c, hw, hw)).astype(dtype))
+    dout = _with_zeros(rng, rng.normal(size=(n, cout, hw, hw)).astype(dtype))
+    ref_out, ref_backward = gather_conv2d(x, conv.w.value, conv.b.value, 1)
+    ref_dx, ref_dw, ref_db = ref_backward(dout)
+    out = conv.forward(_channels_last(x) if x_last else x)
+    dx = conv.backward(_channels_last(dout) if dout_last else dout)
+    assert _is_channels_last(out) and _is_channels_last(dx)
+    assert out.tobytes() == ref_out.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+    assert conv.w.grad.tobytes() == ref_dw.tobytes()
+    assert conv.b.grad.tobytes() == ref_db.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_last,dout_last", LAYOUTS)
+@pytest.mark.parametrize("n,window,h,w", [(1, 2, 8, 8), (3, 2, 7, 9),
+                                          (5, 3, 7, 7)])
+def test_maxpool_channels_last_matches_argmax_oracle_bytewise(
+        dtype, x_last, dout_last, n, window, h, w):
+    rng = np.random.default_rng(n * 10 + window)
+    # a lattice with both zeros ties most windows
+    x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype), size=(n, 4, h, w))
+    dout = _with_zeros(rng, rng.normal(
+        size=(n, 4, h // window, w // window)).astype(dtype))
+    pool = MaxPool2d(window)
+    out = pool.forward(_channels_last(x) if x_last else x)
+    dx = pool.backward(_channels_last(dout) if dout_last else dout)
+    ref_out, ref_backward = argmax_maxpool2d(x, window)
+    assert _is_channels_last(out) == _is_channels_last(dx) == x_last
+    assert out.tobytes() == ref_out.tobytes()
+    assert dx.tobytes() == ref_backward(dout).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_last,dout_last", LAYOUTS)
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_relu_channels_last_matches_where_oracle_bytewise(
+        dtype, x_last, dout_last, n):
+    rng = np.random.default_rng(n)
+    x = _with_zeros(rng, rng.normal(size=(n, 16, 8, 8)).astype(dtype))
+    dout = _with_zeros(rng, rng.normal(size=x.shape).astype(dtype))
+    x = _channels_last(x) if x_last else x
+    _assert_relu_matches_where(x, _channels_last(dout) if dout_last else dout)
+    assert _is_channels_last(ReLU().forward(x)) == x_last
+
+
 # -- softmax cross-entropy ----------------------------------------------------
 
 def test_sce_uniform_logits():
