@@ -8,10 +8,17 @@ cloud's last hidden activation is averaged, and the last layer maps one
 row per cloud, so the (bs*N, k) embedding matrix is never built. A (m, din)
 batch is m one-point clouds, whose means are their rows.
 
-Training takes the whole batch as one block and keeps every hidden
-activation for backward. A forward that only needs the output streams:
-blocks of whole clouds, at most STREAM_ROWS rows or one cloud each, keep
-only each cloud's mean. A row's products and a cloud's mean are the same
+The layers before the last run from one run-order list, ``per_point``,
+through ``numcore.forward_layers`` and ``backward_layers``. A forward may
+tap one hidden layer: the list is split after that layer's ReLU, whose
+per-point output is kept as ``tapped`` (the segmenter's local feature),
+and backward adds the gradient at the tap in place between the two
+halves.
+
+A forward with a tap, or outside ``numcore.inference()``, takes the whole
+batch as one block. A forward without a tap inside it streams: blocks of
+whole clouds, at most STREAM_ROWS rows or one cloud each, keep only each
+cloud's mean. A row's products and a cloud's mean are the same
 computations in a block as in the whole batch, so the output bits are too;
 each block's activations are small enough to stay in cache. Inside
 ``numcore.inference()`` the layers keep no backward caches either, streamed
@@ -26,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyCloudError, LayoutError
-from .numcore import Linear, ParamTensor, ReLU, inference_enabled
+from .numcore import (Linear, ParamTensor, ReLU, backward_layers,
+                       forward_layers, inference_enabled)
 
 # hidden widths per depth; the last layer always maps to k
 _DEPTH_WIDTHS = {
@@ -76,22 +84,26 @@ class Encoder:
             for i in range(len(widths) - 1)
         ]
         self.relus = [ReLU() for _ in range(len(self.layers) - 1)]
-        self._hidden: list[np.ndarray] | None = []
-        self._n_points = 1
+        # run order of the layers before the last; set after the attributes,
+        # because bench/spans.py names a layer by the first attribute that
+        # holds it
+        self.per_point = [f for pair in zip(self.layers, self.relus)
+                          for f in pair]
+        self.tapped: np.ndarray | None = None
+        self._n_points, self._split = 1, 0
 
     def params(self) -> list[ParamTensor]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def forward(self, x: np.ndarray, stream: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, tap: int | None = None) -> np.ndarray:
         """Pool bs clouds, (bs, N, din) -> (bs, k) mean embeddings, or embed
         m points, (m, din) -> (m, k), as m one-point clouds.
 
-        The hidden layers run over the whole batch as one block and keep
-        their activations per point as (bs*N, width); ``hidden(i)`` is the
-        post-ReLU output of layer i+1 (the 128-wide layer-2 output feeds
-        the segmentation head). With ``stream``, a forward inside
-        ``numcore.inference()`` runs them block by block and keeps nothing,
-        so ``hidden`` raises until the next forward that does not stream.
+        With ``tap`` = i, the hidden layers run over the whole batch as one
+        block, and the post-ReLU output of layer i+1 is kept per point as
+        ``tapped``, (bs*N, width) (the segmenter taps the 128-wide layer-2
+        output). Without a tap, a forward inside ``numcore.inference()``
+        runs them block by block, and ``tapped`` is None.
         """
         if x.ndim not in (2, 3) or x.shape[-1] != self.din:
             raise DimensionError(
@@ -99,55 +111,52 @@ class Encoder:
                 f"got {x.shape}")
         if 0 in x.shape[:-1]:
             raise EmptyCloudError("cannot embed an empty batch or cloud")
+        if tap is not None and not 0 <= tap < len(self.relus):
+            raise ValueError(f"tap must be 0..{len(self.relus) - 1}, got {tap}")
         x = x.reshape(len(x), -1, self.din)          # (m, din) -> (m, 1, din)
         bs, n = x.shape[:2]
-        self._n_points = n
-        stream = stream and inference_enabled()
-        step = max(1, STREAM_ROWS // n) if stream else bs
-        h = np.concatenate([self._point_mean(x[c:c + step], keep=not stream)
+        # drop the last forward's tap before making a new one
+        self.tapped = None
+        # where the tap cuts per_point: 0 without one
+        self._n_points, self._split = n, 0 if tap is None else 2 * tap + 2
+        streamed = tap is None and inference_enabled()
+        step = max(1, STREAM_ROWS // n) if streamed else bs
+        h = np.concatenate([self._point_mean(x[c:c + step])
                             for c in range(0, bs, step)])
         return self.layers[-1].forward(h)
 
-    def _point_mean(self, x: np.ndarray, keep: bool) -> np.ndarray:
+    def _point_mean(self, x: np.ndarray) -> np.ndarray:
         """(c, N, din) clouds -> (c, width) mean last hidden activation:
-        the layers before the last, each with its ReLU, over the points as
-        (c*N, din) rows; with ``keep``, every output is kept in
-        ``_hidden``."""
-        h = x.reshape(-1, self.din)
-        # drop the last forward's activations before making new ones
-        self._hidden = [] if keep else None
-        for layer, relu in zip(self.layers, self.relus):
-            h = relu.forward(layer.forward(h))
-            if keep:
-                self._hidden.append(h)
+        ``per_point`` over the points as (c*N, din) rows, keeping the
+        output at the tap as ``tapped``."""
+        split = self._split
+        h = forward_layers(self.per_point[:split], x.reshape(-1, self.din))
+        if split:
+            self.tapped = h
+        h = forward_layers(self.per_point[split:], h)
         return h.reshape(*x.shape[:2], -1).mean(axis=1)
 
-    def hidden(self, index: int) -> np.ndarray:
-        if self._hidden is None:
-            raise RuntimeError(
-                f"Encoder.hidden({index}) after an inference forward, which "
-                f"keeps no per-point activations; run forward outside "
-                f"numcore.inference() first")
-        return self._hidden[index]
-
     def backward(self, dout: np.ndarray,
-                 hidden_grads: dict[int, np.ndarray] | None = None) -> np.ndarray:
+                 d_tapped: np.ndarray | None = None) -> np.ndarray:
         """Backprop through the stack; returns the gradient w.r.t. the input
         flattened to (bs*N, din), or (m, din) after a (m, din) forward.
 
         ``dout`` is (bs, k), and the gradient of each cloud's mean reaches
         each of its N points divided by N (exactly itself at N = 1).
-        ``hidden_grads`` injects extra per-point gradient at cached hidden
-        outputs (segmentation taps the layer-2 features directly, so that
-        branch's gradient is added in place into the main path's here).
+        ``d_tapped``, (bs*N, width), is extra gradient at the last forward's
+        tap (the segmenter's local-feature branch); it is added in place
+        into the main path's there.
         """
+        if d_tapped is not None and not self._split:
+            raise RuntimeError("Encoder.backward got d_tapped after a "
+                               "forward without a tap")
+        split = 0 if d_tapped is None else self._split
         g = self.layers[-1].backward(dout)
-        g = np.repeat(g / self._n_points, self._n_points, axis=0)
-        for i in range(len(self.relus) - 1, -1, -1):
-            if hidden_grads and i in hidden_grads:
-                g += hidden_grads[i]
-            g = self.layers[i].backward(self.relus[i].backward(g))
-        return g
+        g = backward_layers(self.per_point[split:], np.repeat(
+            g / self._n_points, self._n_points, axis=0))
+        if split:
+            g += d_tapped
+        return backward_layers(self.per_point[:split], g)
 
 
 def embed_point(p: np.ndarray, encoder: Encoder) -> np.ndarray:

@@ -4,16 +4,17 @@
 normalizes its (bs, k) per-cloud mean embeddings into the global feature,
 the task head, the parameter list and the checkpoint metadata.
 ``Classifier`` and ``Segmenter`` only wire their head: the classifier
-reads the global feature as a g x g grid, the segmenter also taps the
-encoder's 128-wide hidden layer per point.
+reads the global feature as a g x g grid, the segmenter also reads the
+encoder's 128-wide hidden layer per point, as the encoder's tap, and
+sends that branch's gradient back to the tap.
 
-Inside ``numcore.inference()`` no layer keeps a backward cache, and the
-classifier and ``global_features`` let the encoder stream its per-point
-layers (encoder.py). The segmenter never streams: its head reads every
-point's hidden feature in the same forward. After an inference forward,
-or after a ``global_features`` call, which leaves the head's caches from
-an earlier batch, either model's ``backward`` raises before it touches a
-gradient.
+Inside ``numcore.inference()`` no layer keeps a backward cache, and a
+forward without a tap, the classifier's and ``global_features``, lets the
+encoder stream its per-point layers (encoder.py). The segmenter's forward
+never streams: its head reads every point's tapped feature in the same
+forward. After an inference forward, or after a ``global_features`` call,
+which leaves the head's caches from an earlier batch, either model's
+``backward`` raises before it touches a gradient.
 """
 
 from __future__ import annotations
@@ -65,20 +66,21 @@ class PENet:
         """(bs, N, din) -> (bs, k) normalized global features; streamed
         inside ``numcore.inference()``. The head's caches stay those of an
         earlier forward, so ``backward`` raises until the next forward."""
-        feat = self._features(points, stream=True)
+        feat = self._features(points)
         self._stale = self._stale or "global_features"
         return feat
 
-    def _features(self, points: np.ndarray, stream: bool) -> np.ndarray:
+    def _features(self, points: np.ndarray, tap: int | None = None
+                  ) -> np.ndarray:
         """The encoder returns each cloud's mean embedding, and GlobalPool
-        min-max normalizes it."""
+        min-max normalizes it; ``tap`` goes to the encoder."""
         if points.ndim != 3 or points.shape[2] != self.din:
             raise DimensionError(
                 f"{type(self).__name__.lower()} expects (bs, N, {self.din}), "
                 f"got {points.shape}")
         # a layer's own check cannot tell stale caches from fresh ones
         self._stale = "an inference forward" if inference_enabled() else None
-        return self.pool.forward(self.encoder.forward(points, stream=stream))
+        return self.pool.forward(self.encoder.forward(points, tap=tap))
 
     def _check_backward(self):
         if self._stale:
@@ -86,11 +88,6 @@ class PENet:
                 f"{type(self).__name__}.backward after {self._stale}, which "
                 f"leaves the model without one forward's caches; run forward "
                 f"outside numcore.inference() first")
-
-    def _backward_features(self, dfeat: np.ndarray, hidden_grads=None):
-        """Backprop a (bs, k) global-feature gradient to the encoder."""
-        self.encoder.backward(self.pool.backward(dfeat),
-                              hidden_grads=hidden_grads)
 
     def metadata(self) -> dict:
         return {
@@ -116,12 +113,12 @@ class Classifier(PENet):
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, num_classes)."""
-        feat = self._features(points, stream=True)
-        return self.head.forward(reshape_grid(feat))
+        return self.head.forward(reshape_grid(self._features(points)))
 
     def backward(self, dlogits: np.ndarray):
         self._check_backward()
-        self._backward_features(self.head.backward(dlogits).reshape(-1, self.k))
+        dfeat = self.head.backward(dlogits).reshape(-1, self.k)
+        self.encoder.backward(self.pool.backward(dfeat))
 
 
 class Segmenter(PENet):
@@ -132,7 +129,7 @@ class Segmenter(PENet):
     """
 
     task, out_key = "segment", "num_parts"
-    LOCAL_LAYER = 1          # index into encoder hidden activations
+    LOCAL_LAYER = 1          # the encoder tap: its hidden layer 2
     LOCAL_DIM = 128
 
     def __init__(self, din: int, num_parts: int, k: int = 1024,
@@ -146,13 +143,12 @@ class Segmenter(PENet):
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, N, num_parts)."""
-        feat = self._features(points, stream=False)
-        local = self.encoder.hidden(self.LOCAL_LAYER).reshape(
-            *points.shape[:2], self.LOCAL_DIM)
+        feat = self._features(points, tap=self.LOCAL_LAYER)
+        local = self.encoder.tapped.reshape(*points.shape[:2], self.LOCAL_DIM)
         return self.head.forward(local, feat)
 
     def backward(self, dlogits: np.ndarray):
         self._check_backward()
         d_local, d_global = self.head.backward(dlogits)
-        self._backward_features(d_global, hidden_grads={
-            self.LOCAL_LAYER: d_local.reshape(-1, self.LOCAL_DIM)})
+        self.encoder.backward(self.pool.backward(d_global),
+                              d_tapped=d_local.reshape(-1, self.LOCAL_DIM))

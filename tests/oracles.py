@@ -247,20 +247,22 @@ def unpooled_pass(model, x, dlogits):
     bs, n, din = x.shape
     enc = model.encoder
     model.zero_grads()
-    emb = enc.forward(x.reshape(bs * n, din))
+    classify = model.task == "classify"
+    tap = None if classify else model.LOCAL_LAYER
+    emb = enc.forward(x.reshape(bs * n, din), tap=tap)
     feat = model.pool.forward(emb.reshape(bs, n, model.k).mean(axis=1))
-    if model.task == "classify":
+    if classify:
         g = int(round(model.k ** 0.5))
         logits = model.head.forward(feat.reshape(bs, 1, g, g))
         dfeat = model.head.backward(dlogits).reshape(bs, model.k)
-        hidden_grads = None
+        d_tapped = None
     else:
-        width = enc.hidden(1).shape[1]
-        logits = model.head.forward(enc.hidden(1).reshape(bs, n, width), feat)
+        width = enc.tapped.shape[1]
+        logits = model.head.forward(enc.tapped.reshape(bs, n, width), feat)
         d_local, dfeat = model.head.backward(dlogits)
-        hidden_grads = {1: d_local.reshape(bs * n, width)}
+        d_tapped = d_local.reshape(bs * n, width)
     dmean = model.pool.backward(dfeat)
-    enc.backward(np.repeat(dmean / n, n, axis=0), hidden_grads=hidden_grads)
+    enc.backward(np.repeat(dmean / n, n, axis=0), d_tapped=d_tapped)
     return logits.copy(), {p.name: p.grad.copy() for p in model.params()}
 
 

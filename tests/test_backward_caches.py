@@ -77,7 +77,13 @@ def test_inference_forward_keeps_no_backward_cache(task):
     assert [(t, a) for t, a, value in _caches(model) if value is not None] \
         == []
     # only the segmenter's own tap is kept: its head reads it in the forward
-    assert (model.encoder._hidden is None) == (task == "classify")
+    assert (model.encoder.tapped is None) == (task == "classify")
+    # so is a tap at any hidden layer, and still no cache
+    for tap in range(model.depth - 1):
+        with inference():
+            model.encoder.forward(_batch(), tap=tap)
+        assert model.encoder.tapped is not None
+        assert all(value is None for _, _, value in _caches(model))
     for layer in _layers(model):
         if not isinstance(layer, CONTAINERS):
             with pytest.raises(RuntimeError,

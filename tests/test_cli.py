@@ -164,10 +164,11 @@ def test_embed_streams_and_prints_cached_feature(trained_ckpt, synth_dir,
     cloud = next(p for p in synth_dir.iterdir() if p.suffix == ".txt")
     assert main(["embed", "--ckpt", str(trained_ckpt),
                  "--cloud", str(cloud)]) == 0
-    # the forward ran inside numcore.inference(), which keeps no hidden
-    # activations
+    # the forward streamed inside numcore.inference(): no tap, and no
+    # backward cache
+    assert loaded[0].encoder.tapped is None
     with pytest.raises(RuntimeError, match="inference forward"):
-        loaded[0].encoder.hidden(0)
+        loaded[0].encoder.backward(np.zeros((1, loaded[0].k)))
     feat = load_checkpoint(trained_ckpt).global_features(
         load_cloud_text(cloud).features()[None, :, :])[0]
     assert capsys.readouterr().out == \

@@ -108,28 +108,52 @@ def test_depth_variants_pass_grad_check(depth):
     assert report.passed, report
 
 
-def test_hidden_grad_injection_matches_fd():
-    # gradient arriving at the layer-2 features (segmentation tap) must be
-    # merged correctly with the main path
+TAPS = [(depth, tap) for depth in (2, 3, 4, 5) for tap in range(depth - 1)]
+
+
+@pytest.mark.parametrize("tap", [0, 1])
+def test_tapped_grad_injection_matches_fd(tap):
+    # gradient arriving at a tapped hidden output (the segmentation tap is
+    # 1) must be merged correctly with the main path; these inputs sit
+    # 3.8e-3 or more off every ReLU kink, far past the FD step
     enc = _encoder(k=8, depth=3, seed=13)
     rng = np.random.default_rng(14)
     x = rng.normal(size=(2, 6))
-    w_mix = rng.normal(size=(128,))
+    w_mix = rng.normal(size=(enc.layers[tap].dout,))
 
     def loss_fn():
         for p in enc.params():
             p.zero_grad()
-        out = enc.forward(x)
-        hidden = enc.hidden(1)
-        loss = float(out.sum() + (hidden @ w_mix).sum())
-        enc.backward(np.ones_like(out),
-                     hidden_grads={1: np.tile(w_mix, (2, 1))})
+        out = enc.forward(x, tap=tap)
+        loss = float(out.sum() + (enc.tapped @ w_mix).sum())
+        enc.backward(np.ones_like(out), d_tapped=np.tile(w_mix, (2, 1)))
         return loss
 
     loss_fn()
     ana = enc.layers[0].w.grad.copy()
     fd = numeric_grad(loss_fn, enc.layers[0].w.value)
     np.testing.assert_allclose(ana, fd, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("depth,tap", TAPS)
+def test_d_tapped_after_forward_without_tap_raises(depth, tap):
+    enc = _encoder(k=8, depth=depth)
+    x = np.random.default_rng(0).normal(size=(3, 5, 6))
+    out = enc.forward(x, tap=tap)
+    d_tapped = np.ones_like(enc.tapped)
+    enc.forward(x)
+    assert enc.tapped is None
+    with pytest.raises(RuntimeError, match="d_tapped after a forward "
+                       "without a tap"):
+        enc.backward(np.ones_like(out), d_tapped=d_tapped)
+    # nothing was accumulated before the error
+    assert not any(p.grad.any() for p in enc.params())
+
+
+@pytest.mark.parametrize("tap", [-1, 2, 3])
+def test_tap_out_of_range_rejected(tap):
+    with pytest.raises(ValueError, match="tap must be 0..1"):
+        _encoder(depth=3).forward(np.zeros((2, 6)), tap=tap)
 
 
 def test_invalid_depth_rejected():
@@ -144,9 +168,9 @@ def test_invalid_depth_rejected():
 def test_per_point_forward_is_byte_equal_to_reference(dtype, depth, din, m,
                                                       seed):
     """A (m, din) batch runs as m one-point clouds through the pooled
-    pass; its embeddings and cached hidden activations keep the bytes of
-    the old per-point path. Inputs include -0.0, which the mean over one
-    point turns into +0.0 before the last layer."""
+    pass; its embeddings, and the hidden activation at every tap, keep the
+    bytes of the old per-point path. Inputs include -0.0, which the mean
+    over one point turns into +0.0 before the last layer."""
     rng = np.random.default_rng(seed)
     enc = Encoder(din, k=16, depth=depth, rng=rng, dtype=dtype)
     x = rng.uniform(-1, 1, size=(m, din)).astype(dtype)
@@ -154,9 +178,11 @@ def test_per_point_forward_is_byte_equal_to_reference(dtype, depth, din, m,
     out, hidden = reference_point_encoder(enc, x)
     got = enc.forward(x)
     assert got.dtype == out.dtype and got.tobytes() == out.tobytes()
+    assert enc.tapped is None
     assert len(enc.relus) == len(hidden)
-    for i, h in enumerate(hidden):
-        assert enc.hidden(i).tobytes() == h.tobytes(), i
+    for tap, h in enumerate(hidden):
+        assert enc.forward(x, tap=tap).tobytes() == out.tobytes(), tap
+        assert enc.tapped.tobytes() == h.tobytes(), tap
 
 
 def test_empty_batch_rejected():

@@ -64,12 +64,13 @@ def test_backward_after_inference_forward_raises():
         model.backward(np.ones_like(logits))
     # nothing was accumulated before the error
     assert not any(p.grad.any() for p in model.params())
-    with pytest.raises(RuntimeError, match=r"Encoder.hidden\(0\) after an "
-                       r"inference forward"):
-        model.encoder.hidden(0)
+    # the streamed forward kept no per-point activation
+    assert model.encoder.tapped is None
     # a forward outside the switch caches again
     model.backward(np.ones_like(model.forward(x)))
-    assert model.encoder.hidden(1).shape == (3 * 900, 128)
+    for tap, width in enumerate([64, 128]):
+        model.encoder.forward(x, tap=tap)
+        assert model.encoder.tapped.shape == (3 * 900, width)
 
 
 def test_segmenter_never_streams():
@@ -79,9 +80,36 @@ def test_segmenter_never_streams():
     with inference():
         inferred = model.forward(x)
     assert inferred.tobytes() == logits.tobytes()
-    assert model.encoder.hidden(1).shape == (3 * 900, 128)
+    assert model.encoder.tapped.shape == (3 * 900, 128)
     with pytest.raises(RuntimeError, match="inference forward"):
         model.backward(np.ones_like(inferred))
+    # a tapped forward runs as one block inside the switch too, at any tap
+    for tap, width in enumerate([64, 128]):
+        out = model.encoder.forward(x, tap=tap)
+        tapped = model.encoder.tapped
+        with inference():
+            assert model.encoder.forward(x, tap=tap).tobytes() == out.tobytes()
+        assert model.encoder.tapped.shape == (3 * 900, width)
+        assert model.encoder.tapped.tobytes() == tapped.tobytes()
+
+
+def test_segmenter_global_features_streams():
+    # a forward feeds the head its feature; global_features inside the
+    # switch streams, keeps no tap and returns the same bytes
+    model = Segmenter(din=6, num_parts=3, k=64, depth=3, seed=0)
+    x = _batch()
+    fed, head_forward = [], model.head.forward
+
+    def recording_head(local, feat):
+        fed.append(feat)
+        return head_forward(local, feat)
+    model.head.forward = recording_head
+    model.forward(x)
+    with inference():
+        model.forward(x)
+        feat = model.global_features(x)
+    assert model.encoder.tapped is None
+    assert feat.tobytes() == fed[0].tobytes() == fed[1].tobytes()
 
 
 def _train_step(model, x, y):

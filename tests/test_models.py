@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from penet.errors import DimensionError, EmptyCloudError
 from penet.models import Classifier, Segmenter
-from penet.numcore import grad_check, softmax_cross_entropy
+from penet.numcore import grad_check, inference, softmax_cross_entropy
 from penet.train import save_checkpoint
 
 from oracles import unpooled_pass
@@ -104,6 +105,74 @@ def test_segmenter_grad_check(depth):
                         samples_per_param=15, denom_floor=1e-3,
                         rng=np.random.default_rng(depth))
     assert report.passed, report
+
+
+def _leaf_layers(model):
+    """Every layer object below the model that holds no layer itself."""
+    found, stack, leaves = set(), [model], []
+    while stack:
+        obj = stack.pop()
+        children = [c for val in vars(obj).values()
+                    for c in (val if isinstance(val, list) else [val])
+                    if callable(getattr(c, "forward", None))]
+        if obj is not model and not children:
+            leaves.append(obj)
+        for child in children:
+            if id(child) not in found:
+                found.add(id(child))
+                stack.append(child)
+    return leaves
+
+
+def test_layer_calls_go_through_the_runners(monkeypatch):
+    """Both models' forward, backward and global_features, in training and
+    inside inference(), call every layer through numcore.forward_layers or
+    backward_layers, except three: the encoder's last Linear, which maps
+    the per-cloud means, GlobalPool, and SplitLinear seg.fc1, which takes
+    two inputs."""
+    from penet import encoder, heads
+    running = []                  # layer lists of the runner calls open
+
+    def runner(run):
+        def wrapped(layers, x):
+            running.append(layers)
+            try:
+                return run(layers, x)
+            finally:
+                running.pop()
+        return wrapped
+    for module in (encoder, heads):
+        for name in ("forward_layers", "backward_layers"):
+            monkeypatch.setattr(module, name, runner(getattr(module, name)))
+
+    def record(layer, method, calls):
+        call = getattr(layer, method)
+
+        def recorded(*args, **kwargs):
+            through = bool(running) and any(f is layer for f in running[-1])
+            calls.append((id(layer), through))
+            return call(*args, **kwargs)
+        setattr(layer, method, recorded)
+
+    for task in ("classify", "segment"):
+        model = _model(task, 3)
+        leaves, calls = _leaf_layers(model), []
+        for layer, method in itertools.product(leaves, ("forward", "backward")):
+            record(layer, method, calls)
+        x = np.random.default_rng(4).uniform(-1, 1, size=(3, 900, 6))
+        model.backward(np.ones_like(model.forward(x)))
+        model.global_features(x)
+        with inference():
+            model.forward(x)
+            model.global_features(x)
+        direct = [model.encoder.layers[-1], model.pool]
+        if task == "segment":
+            direct.append(model.head.fc1)
+        assert {i for i, _ in calls} == {id(f) for f in leaves}
+        assert {i for i, through in calls if not through} == \
+            {id(f) for f in direct}
+        assert all(not through for i, through in calls
+                   if i in {id(f) for f in direct})
 
 
 # sha256 of same-seed untrained checkpoints, recorded before Classifier and
