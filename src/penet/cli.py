@@ -140,7 +140,7 @@ def _train_points(model) -> int:
     n = model.extra_meta.get("train_points")
     if n is None:
         raise ConfigError("checkpoint lacks train_points; pass --points")
-    return int(n)
+    return n
 
 
 def cmd_eval(args) -> int:

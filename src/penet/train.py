@@ -196,6 +196,9 @@ def load_checkpoint(path):
         raise FormatError(
             f"checkpoint metadata din={din}, {n_out_key}={n_out}, k={k} "
             f"does not fit the {n_values} values in the file")
+    if "train_points" in meta and _meta_ints(meta, "train_points")[0] < 1:
+        raise FormatError(f"checkpoint metadata 'train_points' is "
+                          f"{meta['train_points']}, not >= 1")
     try:
         model = (Classifier if classify else Segmenter)(din, n_out, k=k,
                                                         depth=depth)

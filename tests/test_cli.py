@@ -201,6 +201,19 @@ def test_embed_checkpoint_missing_metadata_key(trained_ckpt, synth_dir,
     assert "'din'" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("value", [[32], 31.7, True, 0, -3, None, "32"])
+def test_eval_checkpoint_bad_train_points(trained_ckpt, synth_dir, tmp_path,
+                                          capsys, value):
+    # once crashed (a list), or evaluated at 31 (31.7) or 1 point (true)
+    from penet.train import load_checkpoint, save_checkpoint
+    model = load_checkpoint(trained_ckpt)
+    model.extra_meta["train_points"] = value
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(model, bad)
+    assert main(["eval", "--ckpt", str(bad), "--data", str(synth_dir)]) == 1
+    assert "'train_points'" in _one_line_error(capsys)
+
+
 def test_embed_non_finite_cloud(trained_ckpt, tmp_path, capsys):
     cloud = tmp_path / "nan.txt"
     cloud.write_text("0 0 0 0 0 1\n1 0 0 nan 0 0\n")
