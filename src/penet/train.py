@@ -57,6 +57,14 @@ class TrainConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("epochs", "batch_size", "n_points", "k", "encoder_depth",
+                     "lr_step", "seed"):
+            value = getattr(self, name)
+            # numpy integers pass, as in data._check_starts
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))     # the metadata is JSON
         if not 1 <= self.encoder_depth <= 5:
             raise ConfigError("encoder_depth must be 1..5")
         for name, low in (("epochs", 1), ("batch_size", 1), ("n_points", 1),

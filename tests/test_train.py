@@ -337,6 +337,27 @@ def test_config_rejects_out_of_range_integers(field, value):
         _tiny_cfg(**{field: value})
 
 
+INT_FIELDS = ["epochs", "batch_size", "n_points", "k", "encoder_depth",
+              "lr_step", "seed"]
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None,
+                                   np.float32(2)])
+def test_config_rejects_non_integers(field, value):
+    # 1.5 used to pass and fail later: epochs in range(), seed in
+    # SeedSequence, lr_step by decaying at epoch 3
+    with pytest.raises(ConfigError,
+                       match=f"^{field} must be an integer, got "):
+        _tiny_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_config_accepts_numpy_integers_as_int(field):
+    cfg = _tiny_cfg(**{field: np.int64(3)})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
+
+
 @pytest.mark.parametrize("field, value", [
     ("lr", -1.0), ("lr", 0.0), ("lr", float("inf")), ("lr", float("nan")),
     ("lr_gamma", float("nan")), ("lr_gamma", 0.0), ("lr_gamma", -0.5),
