@@ -20,7 +20,7 @@ from .data import (AugmentConfig, load_cloud_text, load_dataset,
 from .errors import ConfigError, FormatError
 from .models import Classifier
 from .numcore import grad_check, inference, softmax_cross_entropy
-from .train import (TrainConfig, evaluate_classification,
+from .train import (TrainConfig, _prepare_batch, evaluate_classification,
                     evaluate_segmentation, load_checkpoint, save_checkpoint,
                     sweep_point_count, train)
 
@@ -193,8 +193,10 @@ def cmd_embed(args) -> int:
         raise ConfigError(
             f"cloud has {cloud.din} features per point, checkpoint expects "
             f"{model.din}")
+    # centered and scaled as eval prepares it
+    x, _ = next(_prepare_batch([cloud], [len(cloud)]))
     with inference():
-        feat = model.global_features(cloud.features()[None, :, :])[0]
+        feat = model.global_features(x)[0]
     print(" ".join(f"{v:.6f}" for v in feat))
     return 0
 

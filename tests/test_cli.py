@@ -154,7 +154,7 @@ def test_embed_streams_and_prints_cached_feature(trained_ckpt, synth_dir,
                                                  monkeypatch, capsys):
     from penet import cli
     from penet.data import load_cloud_text
-    from penet.train import load_checkpoint
+    from penet.train import _prepare_batch, load_checkpoint
     loaded = []
 
     def load(path):
@@ -169,10 +169,28 @@ def test_embed_streams_and_prints_cached_feature(trained_ckpt, synth_dir,
     assert loaded[0].encoder.tapped is None
     with pytest.raises(RuntimeError, match="inference forward"):
         loaded[0].encoder.backward(np.zeros((1, loaded[0].k)))
-    feat = load_checkpoint(trained_ckpt).global_features(
-        load_cloud_text(cloud).features()[None, :, :])[0]
+    # the cloud prepared as eval prepares it
+    loaded_cloud = load_cloud_text(cloud)
+    x, _ = next(_prepare_batch([loaded_cloud], [len(loaded_cloud)]))
+    feat = load_checkpoint(trained_ckpt).global_features(x)[0]
     assert capsys.readouterr().out == \
         " ".join(f"{v:.6f}" for v in feat) + "\n"
+
+
+def test_embed_ignores_scale_and_offset(trained_ckpt, synth_dir, tmp_path,
+                                        capsys):
+    # the raw file rows gave features up to 0.26 apart here
+    cloud = next(p for p in synth_dir.iterdir() if p.suffix == ".txt")
+    rows = np.loadtxt(cloud)
+    rows[:, :3] = rows[:, :3] * 10 + 5
+    moved = tmp_path / "moved.txt"
+    np.savetxt(moved, rows)
+    feats = []
+    for path in (cloud, moved):
+        assert main(["embed", "--ckpt", str(trained_ckpt),
+                     "--cloud", str(path)]) == 0
+        feats.append(np.array(capsys.readouterr().out.split(), dtype=float))
+    np.testing.assert_allclose(feats[0], feats[1], rtol=0, atol=1e-5)
 
 
 def test_embed_din_mismatch(trained_ckpt, tmp_path, capsys):
