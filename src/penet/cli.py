@@ -136,19 +136,14 @@ def _point_count(token: str) -> int:
     return n
 
 
-def _train_points(model) -> int:
-    n = model.extra_meta.get("train_points")
-    if n is None:
-        raise ConfigError("checkpoint lacks train_points; pass --points")
-    return n
-
-
 def cmd_eval(args) -> int:
     n = None if args.points is None else _point_count(args.points)
     model = load_checkpoint(args.ckpt)
     clouds = load_dataset(load_manifest(_find_manifest(Path(args.data), args.split)))
     if n is None:
-        n = _train_points(model)
+        n = model.extra_meta.get("train_points")
+    if n is None:
+        raise ConfigError("checkpoint lacks train_points; pass --points")
     if model.task == "classify":
         if any(c.class_label is None for c in clouds):
             raise ConfigError("classification checkpoint needs labeled clouds")

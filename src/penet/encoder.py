@@ -131,8 +131,7 @@ class Encoder:
         output at the tap as ``tapped``."""
         split = self._split
         h = forward_layers(self.per_point[:split], x.reshape(-1, self.din))
-        if split:
-            self.tapped = h
+        self.tapped = h if split else None
         h = forward_layers(self.per_point[split:], h)
         return h.reshape(*x.shape[:2], -1).mean(axis=1)
 

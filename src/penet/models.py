@@ -70,8 +70,7 @@ class PENet:
         self._stale = self._stale or "global_features"
         return feat
 
-    def _features(self, points: np.ndarray, tap: int | None = None
-                  ) -> np.ndarray:
+    def _features(self, points: np.ndarray, tap=None) -> np.ndarray:
         """The encoder returns each cloud's mean embedding, and GlobalPool
         min-max normalizes it; ``tap`` goes to the encoder."""
         if points.ndim != 3 or points.shape[2] != self.din:
@@ -82,12 +81,17 @@ class PENet:
         self._stale = "an inference forward" if inference_enabled() else None
         return self.pool.forward(self.encoder.forward(points, tap=tap))
 
-    def _check_backward(self):
+    def backward(self, dlogits: np.ndarray):
+        """Backprop the gradient of forward's output into every parameter's
+        grad: the head's, then GlobalPool's and the encoder's, with the
+        gradient at the encoder's tap when the head reads one."""
         if self._stale:
             raise RuntimeError(
                 f"{type(self).__name__}.backward after {self._stale}, which "
                 f"leaves the model without one forward's caches; run forward "
                 f"outside numcore.inference() first")
+        dfeat, d_tapped = self._head_backward(dlogits)
+        self.encoder.backward(self.pool.backward(dfeat), d_tapped=d_tapped)
 
     def metadata(self) -> dict:
         return {
@@ -115,10 +119,10 @@ class Classifier(PENet):
         """(bs, N, din) -> (bs, num_classes)."""
         return self.head.forward(reshape_grid(self._features(points)))
 
-    def backward(self, dlogits: np.ndarray):
-        self._check_backward()
-        dfeat = self.head.backward(dlogits).reshape(-1, self.k)
-        self.encoder.backward(self.pool.backward(dfeat))
+    def _head_backward(self, dlogits: np.ndarray):
+        """(the global feature's gradient, None): the classifier taps
+        nothing."""
+        return self.head.backward(dlogits).reshape(-1, self.k), None
 
 
 class Segmenter(PENet):
@@ -147,8 +151,8 @@ class Segmenter(PENet):
         local = self.encoder.tapped.reshape(*points.shape[:2], self.LOCAL_DIM)
         return self.head.forward(local, feat)
 
-    def backward(self, dlogits: np.ndarray):
-        self._check_backward()
+    def _head_backward(self, dlogits: np.ndarray):
+        """(the global feature's gradient, the local feature's at the
+        encoder's tap)."""
         d_local, d_global = self.head.backward(dlogits)
-        self.encoder.backward(self.pool.backward(d_global),
-                              d_tapped=d_local.reshape(-1, self.LOCAL_DIM))
+        return d_global, d_local.reshape(-1, self.LOCAL_DIM)

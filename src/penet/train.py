@@ -57,21 +57,19 @@ class TrainConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("epochs", "batch_size", "n_points", "k", "encoder_depth",
-                     "lr_step", "seed"):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("n_points", 1),
+                          ("k", 1), ("encoder_depth", 1), ("lr_step", 0),
+                          ("seed", 0)):
             value = getattr(self, name)
             # numpy integers pass, as in data._check_starts
             if isinstance(value, bool) \
                     or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
             setattr(self, name, int(value))     # the metadata is JSON
-        if not 1 <= self.encoder_depth <= 5:
+        if self.encoder_depth > 5:
             raise ConfigError("encoder_depth must be 1..5")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("n_points", 1),
-                          ("k", 1), ("lr_step", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(
-                    f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("lr", "lr_gamma"):
             if not 0 < getattr(self, name) < math.inf:   # nan fails too
                 raise ConfigError(f"{name} must be finite and > 0, got "
@@ -205,8 +203,7 @@ def load_checkpoint(path):
             f"checkpoint metadata din={din}, {n_out_key}={n_out}, k={k} "
             f"does not fit the {n_values} values in the file")
     if "train_points" in meta and _meta_ints(meta, "train_points")[0] < 1:
-        raise FormatError(f"checkpoint metadata 'train_points' is "
-                          f"{meta['train_points']}, not >= 1")
+        raise FormatError("checkpoint metadata 'train_points' is below 1")
     try:
         model = (Classifier if classify else Segmenter)(din, n_out, k=k,
                                                         depth=depth)

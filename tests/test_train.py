@@ -331,7 +331,8 @@ def _tiny_cfg(**kw):
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("epochs", -3), ("batch_size", 0), ("batch_size", -1),
-    ("n_points", 0), ("k", 0), ("k", -4), ("lr_step", -1)])
+    ("n_points", 0), ("k", 0), ("k", -4), ("lr_step", -1),
+    ("encoder_depth", 0), ("seed", -1)])
 def test_config_rejects_out_of_range_integers(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be >= "):
         _tiny_cfg(**{field: value})
