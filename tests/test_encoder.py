@@ -108,9 +108,6 @@ def test_depth_variants_pass_grad_check(depth):
     assert report.passed, report
 
 
-TAPS = [(depth, tap) for depth in (2, 3, 4, 5) for tap in range(depth - 1)]
-
-
 @pytest.mark.parametrize("tap", [0, 1])
 def test_tapped_grad_injection_matches_fd(tap):
     # gradient arriving at a tapped hidden output (the segmentation tap is
@@ -135,7 +132,8 @@ def test_tapped_grad_injection_matches_fd(tap):
     np.testing.assert_allclose(ana, fd, rtol=1e-5, atol=1e-7)
 
 
-@pytest.mark.parametrize("depth,tap", TAPS)
+@pytest.mark.parametrize("depth,tap", [(depth, tap) for depth in (2, 3, 4, 5)
+                                       for tap in range(depth - 1)])
 def test_d_tapped_after_forward_without_tap_raises(depth, tap):
     enc = _encoder(k=8, depth=depth)
     x = np.random.default_rng(0).normal(size=(3, 5, 6))

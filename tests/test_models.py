@@ -171,8 +171,6 @@ def test_layer_calls_go_through_the_runners(monkeypatch):
         assert {i for i, _ in calls} == {id(f) for f in leaves}
         assert {i for i, through in calls if not through} == \
             {id(f) for f in direct}
-        assert all(not through for i, through in calls
-                   if i in {id(f) for f in direct})
 
 
 # sha256 of same-seed untrained checkpoints, recorded before Classifier and
