@@ -91,10 +91,9 @@ def build_train_config(config_path: str | None, overrides: list[str],
             aug_kwargs[key[len("augment."):]] = parsed
         else:
             cfg_kwargs[key] = parsed
-    cfg = TrainConfig(augment=AugmentConfig(**aug_kwargs), **cfg_kwargs)
     if seed is not None:
-        cfg.seed = seed
-    return cfg
+        cfg_kwargs["seed"] = seed
+    return TrainConfig(augment=AugmentConfig(**aug_kwargs), **cfg_kwargs)
 
 
 def _find_manifest(data_dir: Path, split: str) -> Path:

@@ -351,6 +351,14 @@ def test_train_out_of_range_integers_are_one_line_errors(synth_dir, tmp_path,
         assert not ckpt.exists() and not ckpt.with_suffix(".log.csv").exists()
 
 
+def test_train_negative_seed_flag_is_checked_by_the_config(capsys):
+    # --seed once skipped TrainConfig's checks and failed in SeedSequence,
+    # after the data was loaded, with a message naming no key
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1"):
+        build_train_config(None, [], seed=-1)
+    assert build_train_config(None, ["seed=3"], seed=4).seed == 4
+
+
 def test_train_bad_float_values_are_one_line_errors(synth_dir, tmp_path,
                                                     capsys):
     ckpt = tmp_path / "m.ckpt"
