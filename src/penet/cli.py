@@ -221,6 +221,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    for flag, value in (("--per-class", args.per_class),
+                        ("--points", args.points)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out)
     synth_shapes(out, args.per_class, args.points, args.seed,
                  split=args.split)

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DataError, EmptyCloudError, FormatError, SamplingError)
+from .errors import (ConfigError, DataError, EmptyCloudError, FormatError,
+                     SamplingError)
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -445,13 +446,25 @@ def load_cloud_text(path, seg_path=None) -> PointCloud:
 
 
 def save_cloud_text(cloud: PointCloud, path):
+    """Write ``cloud.features()`` as one row per point: each value as
+    ``%.6f``, single spaces between values and ``\\n`` after every row,
+    the last one included. Part labels go to the ``<path>.seg`` sidecar,
+    one ``%d`` per line, each line ending in ``\\n``; a cloud without
+    labels removes that sidecar, so a later load cannot attach labels left
+    by an earlier save. Each file is built by one format call over the
+    values as Python floats or ints (``tolist``), which rounds as
+    ``f"{v:.6f}"`` does, and written once."""
     path = Path(path)
-    cols = cloud.features()
-    lines = [" ".join(f"{v:.6f}" for v in row) for row in cols]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if cloud.part_labels is not None:
-        seg = path.with_suffix(path.suffix + ".seg")
-        seg.write_text("\n".join(str(int(l)) for l in cloud.part_labels) + "\n",
+    features = cloud.features()
+    n, din = features.shape
+    row = " ".join(["%.6f"] * din) + "\n"
+    path.write_text(row * n % tuple(features.ravel().tolist()),
+                    encoding="utf-8")
+    seg = path.with_suffix(path.suffix + ".seg")
+    if cloud.part_labels is None:
+        seg.unlink(missing_ok=True)
+    else:
+        seg.write_text("%d\n" * n % tuple(cloud.part_labels.tolist()),
                        encoding="utf-8")
 
 
@@ -556,7 +569,11 @@ _SYNTH_GEN = {"sphere": _sphere, "cube": _cube, "cylinder": _cylinder,
 def synth_shapes(out_dir, n_per_class: int, n_points: int, seed: int,
                  split: str = "train") -> DatasetManifest:
     """Write a 4-class analytic dataset (with normals) in the text format
-    and return its manifest."""
+    and return its manifest. ``n_per_class`` and ``n_points`` below 1
+    raise ConfigError naming the argument, before ``out_dir`` is made."""
+    for name, value in (("n_per_class", n_per_class), ("n_points", n_points)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["#classes: " + ",".join(SYNTH_CLASSES)]

@@ -4,6 +4,8 @@ Everything here is written as plain loops over definitions, deliberately
 ignoring how the package computes the same quantities.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from penet.data import PointCloud, canonical_start, farthest_point_sample
@@ -385,6 +387,20 @@ def reference_augment(cloud, cfg):
     return PointCloud(pts.astype(np.float32), normals=cloud.normals,
                       part_labels=cloud.part_labels,
                       class_label=cloud.class_label)
+
+
+def reference_save_cloud_text(cloud, path):
+    """The per-value text writer: one f"{v:.6f}" per value, rows joined by
+    newlines plus a final one, and a .seg sidecar of str(int(label)) lines
+    when the cloud has part labels."""
+    path = Path(path)
+    cols = cloud.features()
+    lines = [" ".join(f"{v:.6f}" for v in row) for row in cols]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if cloud.part_labels is not None:
+        seg = path.with_suffix(path.suffix + ".seg")
+        seg.write_text("\n".join(str(int(l)) for l in cloud.part_labels) + "\n",
+                       encoding="utf-8")
 
 
 def reference_prepare_batch(clouds, n):

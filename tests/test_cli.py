@@ -46,6 +46,19 @@ def test_synth_same_seed_identical(tmp_path):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
 
+@pytest.mark.parametrize("flag,value", [("--per-class", "0"),
+                                        ("--per-class", "-3"),
+                                        ("--points", "0")])
+def test_synth_rejects_sizes_below_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    argv = ["synth", "--out", str(out), "--per-class", "2", "--points", "16"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: {flag} must be >= 1, got {value}\n"
+    assert not out.exists()
+
+
 def test_train_missing_data_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--out", "x.ckpt"])

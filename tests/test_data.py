@@ -8,17 +8,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from penet.data import (MAX_COORD, AugmentConfig, PointCloud, SYNTH_CLASSES,
-                        _fps_indices, augment, canonical_start,
+                        _SYNTH_GEN, _fps_indices, augment, canonical_start,
                         farthest_point_sample,
                         load_cloud_text,
                         load_dataset, load_idx_images, load_manifest, mnist_to_pointcloud,
                         normalize_batch, sample_seed, save_cloud_text,
                         synth_shapes, zero_mean_normalize)
-from penet.errors import (DataError, EmptyCloudError, FormatError,
-                          SamplingError)
+from penet.errors import (ConfigError, DataError, EmptyCloudError,
+                          FormatError, SamplingError)
 
 from oracles import (naive_fps, reference_augment, reference_fps_indices,
-                     reference_zero_mean_normalize)
+                     reference_save_cloud_text, reference_zero_mean_normalize)
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -599,6 +599,73 @@ def test_seg_sidecar_roundtrip(tmp_path):
     assert loaded.part_labels.tolist() == [0, 1, 2, 1, 0]
 
 
+def test_unlabelled_save_removes_a_stale_sidecar(tmp_path):
+    path = tmp_path / "c.txt"
+    save_cloud_text(PointCloud(np.ones((4, 3)), part_labels=[3, 1, 2, 0]), path)
+    save_cloud_text(PointCloud(np.zeros((4, 3))), path)
+    assert not (tmp_path / "c.txt.seg").exists()
+    assert load_cloud_text(path).part_labels is None
+
+
+def _edge_values():
+    """float32 values whose %.6f text is easy to get wrong: signed zero, a
+    negative value that rounds to -0.000000, exact ties and their float32
+    neighbours at the 6th decimal, +-2**62, the smallest subnormal and
+    1e5-scale values."""
+    ties = np.float32([0.0078125, -0.0234375, 1.0078125, 3.9921875])
+    values = np.concatenate([
+        np.float32([-0.0, 0.0, -4e-7, 4e-7, 2.0 ** 62, -2.0 ** 62, 1e-45,
+                    -1e-45, 123456.789, -98765.4321, 5e-7, -1.5e-6]),
+        ties, np.nextafter(ties, np.float32(np.inf)),
+        np.nextafter(ties, np.float32(-np.inf))])
+    return values.reshape(-1, 3)
+
+
+def _writer_cases():
+    cases = {}
+    for name, gen in _SYNTH_GEN.items():
+        for seed in (0, 1):
+            pts, nrm = gen(np.random.default_rng(seed), 256)
+            cases[f"{name}-{seed}"] = PointCloud(pts, normals=nrm)
+    rng = np.random.default_rng(2)
+    xyz = rng.normal(size=(100, 3))
+    cases["3-column"] = PointCloud(xyz)
+    cases["labelled"] = PointCloud(xyz, part_labels=rng.integers(0, 50, 100))
+    sphere = cases["sphere-0"]
+    cases["labelled-6-column"] = PointCloud(
+        sphere.points, normals=sphere.normals,
+        part_labels=np.arange(len(sphere)) % 7)
+    cases["one-point"] = PointCloud([[0.5, -0.5, 0.0]], part_labels=[2**40])
+    edges = _edge_values()
+    cases["edge-values"] = PointCloud(edges)
+    cases["edge-normals"] = PointCloud(
+        edges[:3], normals=[[-0.0, -0.0, -1.0], [-4e-7, 0.0, 1.0],
+                            [1e-45, -1.0, -0.0]])
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_writer_cases()))
+def test_save_cloud_text_is_byte_equal_to_reference(tmp_path, case):
+    cloud = _writer_cases()[case]
+    new, ref = tmp_path / "new.txt", tmp_path / "ref.txt"
+    save_cloud_text(cloud, new)
+    reference_save_cloud_text(cloud, ref)
+    assert new.read_bytes() == ref.read_bytes()
+    new_seg, ref_seg = (p.with_suffix(".txt.seg") for p in (new, ref))
+    assert new_seg.exists() == (cloud.part_labels is not None)
+    if cloud.part_labels is not None:
+        assert new_seg.read_bytes() == ref_seg.read_bytes()
+
+
+def test_save_cloud_text_edge_value_text(tmp_path):
+    save_cloud_text(PointCloud(_edge_values()[:4]), tmp_path / "c.txt")
+    assert (tmp_path / "c.txt").read_text().splitlines()[:4] == [
+        "-0.000000 0.000000 -0.000000",
+        "0.000000 4611686018427387904.000000 -4611686018427387904.000000",
+        "0.000000 -0.000000 123456.789062",
+        "-98765.429688 0.000000 -0.000002"]
+
+
 def test_seg_sidecar_wrong_count(tmp_path):
     (tmp_path / "c.txt").write_text("0 0 0\n1 1 1\n")
     (tmp_path / "c.txt.seg").write_text("1\n")
@@ -704,6 +771,15 @@ def test_synth_sphere_and_normals(tmp_path):
                                atol=1e-5)
     np.testing.assert_allclose(np.linalg.norm(sphere.normals, axis=1), 1.0,
                                atol=1e-3)
+
+
+@pytest.mark.parametrize("arg", ["n_per_class", "n_points"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_synth_rejects_sizes_below_one(tmp_path, arg, value):
+    sizes = {"n_per_class": 2, "n_points": 16, arg: value}
+    with pytest.raises(ConfigError, match=rf"^{arg} must be >= 1, got {value}$"):
+        synth_shapes(tmp_path / "out", seed=0, **sizes)
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_deterministic(tmp_path):
