@@ -24,13 +24,14 @@ def test_recipe_prints_the_same_lines_twice():
             outputs.append(tool.recipe(Path(tmp), 2, 64, 2, 32,
                                        "64,16,32,16", 48))
     assert outputs[0] == outputs[1]
-    hashes = [line.rsplit(" ", 1) for line in outputs[0][:7]]
+    hashes = [line.rsplit(" ", 1) for line in outputs[0][:8]]
     assert [name for name, _ in hashes] == [
-        "classify checkpoint", "sweep csv", "classify eval", "classify embed",
-        "segment checkpoint", "segment eval", "segment embed"]
+        "synth data", "classify checkpoint", "sweep csv", "classify eval",
+        "classify embed", "segment checkpoint", "segment eval",
+        "segment embed"]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in hashes)
     # each log: the header, then one row per epoch without the seconds
-    logs = outputs[0][7:]
+    logs = outputs[0][8:]
     assert logs == [line for task in ("classify", "segment")
                     for line in logs if line.startswith(f"{task} log: ")]
     assert logs[0] == "classify log: epoch,loss,train_acc,val_acc"

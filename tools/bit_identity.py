@@ -11,7 +11,9 @@ sidecars whose part is (z > 0) + 2·(x > 0) of the loaded points, with
 512,64,128,64`` with the classifier; ``eval --split train --points 200``
 with each checkpoint; and ``embed`` of the first cloud with each.
 
-It prints the sha256 of both checkpoints, the sweep CSV and each eval and
+It prints the sha256 of the files ``synth`` wrote (each file's name, its
+length and its bytes, in name order, before the recipe adds its own
+``.seg`` sidecars), of both checkpoints, the sweep CSV and each eval and
 embed output, then each training log without its seconds column. Run it
 in both trees on the same host and compare the outputs; the hashes depend
 on the BLAS build and thread count.
@@ -46,6 +48,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _files_sha(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _log_without_seconds(path: Path) -> list[str]:
     return [line.rpartition(",")[0]
             for line in path.read_text(encoding="utf-8").splitlines()]
@@ -57,6 +68,7 @@ def recipe(work: Path, per_class: int, points: int, epochs: int,
     data = work / "data"
     _run("synth", "--out", str(data), "--per-class", str(per_class),
          "--points", str(points), "--seed", "3")
+    lines, logs = [f"synth data {_files_sha(data)}"], []
     manifest = load_manifest(data / "train.manifest")
     for rel, _, _ in manifest.entries:
         p = load_cloud_text(data / rel).points
@@ -64,7 +76,6 @@ def recipe(work: Path, per_class: int, points: int, epochs: int,
         (data / f"{rel}.seg").write_text(
             "".join(f"{part}\n" for part in parts), encoding="utf-8")
     first = str(data / manifest.entries[0][0])
-    lines, logs = [], []
     for task in ("classify", "segment"):
         ckpt = work / f"{task}.ckpt"
         _run("train", "--data", str(data), "--out", str(ckpt), "--seed", "3",
