@@ -644,9 +644,12 @@ def _writer_cases():
     return cases
 
 
-@pytest.mark.parametrize("case", list(_writer_cases()))
+WRITER_CASES = _writer_cases()
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
 def test_save_cloud_text_is_byte_equal_to_reference(tmp_path, case):
-    cloud = _writer_cases()[case]
+    cloud = WRITER_CASES[case]
     new, ref = tmp_path / "new.txt", tmp_path / "ref.txt"
     save_cloud_text(cloud, new)
     reference_save_cloud_text(cloud, ref)
