@@ -19,7 +19,7 @@ from .data import (AugmentConfig, load_cloud_text, load_dataset,
                    load_manifest, synth_shapes)
 from .errors import ConfigError, FormatError
 from .models import Classifier
-from .numcore import grad_check, inference, softmax_cross_entropy
+from .numcore import grad_check, softmax_cross_entropy
 from .train import (TrainConfig, _prepare_batch, evaluate_classification,
                     evaluate_segmentation, load_checkpoint, save_checkpoint,
                     sweep_point_count, train)
@@ -189,8 +189,7 @@ def cmd_embed(args) -> int:
             f"{model.din}")
     # centered and scaled as eval prepares it
     x, _ = next(_prepare_batch([cloud], [len(cloud)]))
-    with inference():
-        feat = model.global_features(x)[0]
+    feat = model.global_features(x)[0]
     print(" ".join(f"{v:.6f}" for v in feat))
     return 0
 

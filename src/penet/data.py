@@ -21,6 +21,8 @@ label in a ``.seg`` file, raises FormatError naming the file and line, and
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,12 +141,17 @@ class DatasetManifest:
 # IDX / MNIST
 
 
-def _read_exact(f, n: int, path, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+def _read_exact(f, path, what: str, *sizes: int) -> bytes:
+    """The product of ``sizes`` in bytes from f. The sizes may come from a
+    header, so they are checked against the bytes left in the file before
+    anything is read."""
+    at, n = f.tell(), math.prod(sizes)
+    left = os.fstat(f.fileno()).st_size - at
+    if min(sizes) < 0 or n > left:
         raise FormatError(
-            f"{path}: truncated while reading {what} at byte {f.tell() - len(buf)}")
-    return buf
+            f"{path}: cannot read {what} of {' x '.join(map(str, sizes))} "
+            f"bytes at byte {at}, {left} bytes left")
+    return f.read(n)
 
 
 def load_idx_images(images_path, labels_path) -> list[tuple[np.ndarray, int]]:
@@ -152,22 +159,22 @@ def load_idx_images(images_path, labels_path) -> list[tuple[np.ndarray, int]]:
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(
-            ">iiii", _read_exact(f, 16, images_path, "header"))
+            ">iiii", _read_exact(f, images_path, "header", 16))
         if magic != IDX_MAGIC_IMAGES:
             raise FormatError(
                 f"{images_path}: bad magic 0x{magic:08x} at byte 0, "
                 f"expected 0x{IDX_MAGIC_IMAGES:08x}")
-        raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
+        raw = _read_exact(f, images_path, "pixel data", count, rows, cols)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
     with open(labels_path, "rb") as f:
         magic, lcount = struct.unpack(
-            ">ii", _read_exact(f, 8, labels_path, "header"))
+            ">ii", _read_exact(f, labels_path, "header", 8))
         if magic != IDX_MAGIC_LABELS:
             raise FormatError(
                 f"{labels_path}: bad magic 0x{magic:08x} at byte 0, "
                 f"expected 0x{IDX_MAGIC_LABELS:08x}")
         labels = np.frombuffer(
-            _read_exact(f, lcount, labels_path, "label data"), dtype=np.uint8)
+            _read_exact(f, labels_path, "label data", lcount), dtype=np.uint8)
     if count != lcount:
         raise FormatError(
             f"image count {count} != label count {lcount} "
@@ -492,11 +499,10 @@ def load_manifest(path) -> DatasetManifest:
             raise FormatError(f"{path}:{lineno}: class id {class_id} is "
                               f"negative")
         seg = parts[2] if len(parts) == 3 else None
-        cloud_path = path.parent / parts[0]
-        if not cloud_path.exists():
-            raise FormatError(f"{path}:{lineno}: missing file {cloud_path}")
-        if seg is not None and not (path.parent / seg).exists():
-            raise FormatError(f"{path}:{lineno}: missing file {seg}")
+        for rel in parts[:1] + parts[2:]:
+            if not (path.parent / rel).is_file():
+                raise FormatError(f"{path}:{lineno}: missing file {rel!r} "
+                                  f"(no file at {path.parent / rel})")
         entries.append((parts[0], class_id, seg))
     return DatasetManifest(root=path.parent, entries=entries,
                            class_names=class_names)

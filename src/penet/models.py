@@ -8,13 +8,13 @@ reads the global feature as a g x g grid, the segmenter also reads the
 encoder's 128-wide hidden layer per point, as the encoder's tap, and
 sends that branch's gradient back to the tap.
 
-Inside ``numcore.inference()`` no layer keeps a backward cache, and a
-forward without a tap, the classifier's and ``global_features``, lets the
-encoder stream its per-point layers (encoder.py). The segmenter's forward
-never streams: its head reads every point's tapped feature in the same
-forward. After an inference forward, or after a ``global_features`` call,
-which leaves the head's caches from an earlier batch, either model's
-``backward`` raises before it touches a gradient.
+Each ``backward`` reads the caches of one forward run outside
+``numcore.inference()``. Such a forward sets a flag that ``backward``
+checks and clears before it touches a gradient, so a backward before any
+forward, after an inference forward or a second one raises.
+``global_features`` is an inference forward: like the classifier's
+forward inside the switch it taps nothing, so the encoder streams its
+per-point layers (encoder.py).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .aggregate import GlobalPool
 from .encoder import Encoder
 from .errors import DimensionError
 from .heads import ClassHead, SegHead, grid_side, reshape_grid
-from .numcore import ParamTensor, inference_enabled
+from .numcore import ParamTensor, inference, inference_enabled
 
 
 class PENet:
@@ -49,8 +49,8 @@ class PENet:
         self.pool = GlobalPool()
         self.head = make_head(rng)
         self.extra_meta: dict = {}
-        # the call after which backward cannot run, or None when it can
-        self._stale: str | None = None
+        # set by a forward outside numcore.inference(), cleared by backward
+        self._fresh = False
 
     def params(self) -> list[ParamTensor]:
         return self.encoder.params() + self.head.params()
@@ -63,12 +63,10 @@ class PENet:
             p.zero_grad()
 
     def global_features(self, points: np.ndarray) -> np.ndarray:
-        """(bs, N, din) -> (bs, k) normalized global features; streamed
-        inside ``numcore.inference()``. The head's caches stay those of an
-        earlier forward, so ``backward`` raises until the next forward."""
-        feat = self._features(points)
-        self._stale = self._stale or "global_features"
-        return feat
+        """(bs, N, din) -> (bs, k) normalized global features, from an
+        inference forward."""
+        with inference():
+            return self._features(points)
 
     def _features(self, points: np.ndarray, tap=None) -> np.ndarray:
         """The encoder returns each cloud's mean embedding, and GlobalPool
@@ -78,18 +76,19 @@ class PENet:
                 f"{type(self).__name__.lower()} expects (bs, N, {self.din}), "
                 f"got {points.shape}")
         # a layer's own check cannot tell stale caches from fresh ones
-        self._stale = "an inference forward" if inference_enabled() else None
+        self._fresh = not inference_enabled()
         return self.pool.forward(self.encoder.forward(points, tap=tap))
 
     def backward(self, dlogits: np.ndarray):
         """Backprop the gradient of forward's output into every parameter's
         grad: the head's, then GlobalPool's and the encoder's, with the
         gradient at the encoder's tap when the head reads one."""
-        if self._stale:
+        if not self._fresh:
             raise RuntimeError(
-                f"{type(self).__name__}.backward after {self._stale}, which "
-                f"leaves the model without one forward's caches; run forward "
-                f"outside numcore.inference() first")
+                f"{type(self).__name__}.backward after an inference forward, "
+                f"global_features, another backward or no forward; run one "
+                f"forward outside numcore.inference() before each backward")
+        self._fresh = False
         dfeat, d_tapped = self._head_backward(dlogits)
         self.encoder.backward(self.pool.backward(dfeat), d_tapped=d_tapped)
 

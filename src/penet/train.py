@@ -285,13 +285,15 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
           log_path=None, num_classes: int | None = None):
     """Train a model over in-memory clouds; returns (model, log rows).
 
-    Every training and validation cloud is checked against cfg.n_points
-    before anything is sampled. Before the first epoch, the validation
-    clouds are sampled to cfg.n_points, and every epoch evaluates those
-    samples. Then the training clouds are prepared (FPS to cfg.n_points,
-    centered and scaled) one batch_size chunk at a time, in their order,
-    into one (clouds, n_points, din) float32 array. A step takes its
-    clouds' rows of that array and overwrites each one's coordinates with
+    Every training and validation cloud is checked against the first
+    training cloud's din and against cfg.n_points before anything is
+    sampled. Before the first epoch, the validation clouds are sampled to
+    cfg.n_points one batch_size chunk at a time, and every epoch evaluates
+    those samples. Then the training clouds are prepared (FPS to
+    cfg.n_points, centered and scaled), also one chunk at a time and in
+    their order, into one (clouds, n_points, din) float32 array. A step
+    takes its clouds' rows of that array and overwrites each one's
+    coordinates with
     ``augment(coordinates, cfg.augment, sample_seed(cfg.seed, epoch, i))``
     for cloud index i, so the run is reproducible whatever the order of
     the batches.
@@ -299,8 +301,6 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     if not clouds:
         raise ConfigError("empty training set")
     din = clouds[0].din
-    if any(c.din != din for c in clouds):
-        raise DataError("mixed clouds with and without normals")
 
     classify = cfg.task == "classify"
     # a cloud's labels: one class id, or one part id per point
@@ -311,6 +311,9 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     for split, group in (("training", clouds), ("validation", val_clouds)):
         if any(label_of(c) is None for c in group):
             raise ConfigError(f"{cfg.task} {split} requires {what} labels")
+        if any(c.din != din for c in group):
+            raise DataError(f"mixed clouds with and without normals: every "
+                            f"{split} cloud needs {din} features per point")
     top = int(max(np.max(label_of(c)) for c in clouds))
     n_out = num_classes if num_classes is not None else top + 1
     if top >= n_out:
@@ -322,7 +325,10 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else SGD(lr=cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(0xB0,)))
-    val_samples = _sample_to(val_clouds, [cfg.n_points] * len(val_clouds))
+    val_samples = []
+    for b0 in range(0, len(val_clouds), cfg.batch_size):
+        chunk = val_clouds[b0:b0 + cfg.batch_size]
+        val_samples += _sample_to(chunk, [cfg.n_points] * len(chunk))
     inputs = np.empty((len(clouds), cfg.n_points, din), dtype=np.float32)
     labels = []
     for b0 in range(0, len(clouds), cfg.batch_size):

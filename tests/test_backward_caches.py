@@ -33,6 +33,10 @@ MODELS = {
     "segment": lambda: Segmenter(din=6, num_parts=3, k=64, depth=3, seed=0),
 }
 
+# the one error of a backward without its own training forward
+STALE = ("{}.backward after an inference forward, global_features, another "
+         "backward or no forward")
+
 
 def _layers(model):
     """Every layer object below the model, found through its attributes."""
@@ -108,19 +112,71 @@ def test_backward_after_interleaved_inference_forward_raises(task, inferred):
 @pytest.mark.parametrize("task", sorted(MODELS))
 @pytest.mark.parametrize("bs", [3, 5])
 def test_backward_after_global_features_raises(task, bs):
-    # global_features refills the encoder's and GlobalPool's caches but not
-    # the head's; at bs = 3 the stale mix has the shapes of a fresh one
+    # global_features is an inference forward: it drops the encoder's and
+    # GlobalPool's caches and keeps the head's, at bs = 3 of fresh shapes
     model = MODELS[task]()
     logits = model.forward(_batch())
     model.global_features(_batch(seed=1, bs=bs))
     name = type(model).__name__
-    with pytest.raises(RuntimeError,
-                       match=f"{name}.backward after global_features"):
+    with pytest.raises(RuntimeError, match=STALE.format(name)):
         model.backward(np.ones_like(logits))
     assert not any(p.grad.any() for p in model.params())
     # the next forward makes backward valid again
     model.backward(np.ones_like(model.forward(_batch())))
     assert any(p.grad.any() for p in model.params())
+
+
+def _before_any_forward(model):
+    pass
+
+
+def _after_inference_forward(model):
+    model.forward(_batch(seed=1))
+    with inference():
+        model.forward(_batch(seed=2))
+
+
+def _after_global_features(model):
+    model.forward(_batch(seed=1))
+    model.global_features(_batch(seed=2))
+
+
+def _second_backward(model):
+    pass                              # the warm-up's backward was the first
+
+
+@pytest.mark.parametrize("task", sorted(MODELS))
+@pytest.mark.parametrize("case", [_before_any_forward,
+                                  _after_inference_forward,
+                                  _after_global_features, _second_backward])
+def test_each_backward_needs_its_own_training_forward(task, case):
+    model = MODELS[task]()
+    dlogits = np.ones_like(MODELS[task]().forward(_batch()))
+    if case is not _before_any_forward:
+        # one training step first, so that any gradient it adds to shows
+        model.forward(_batch())
+        model.backward(dlogits)
+    case(model)
+    grads = [p.grad.tobytes() for p in model.params()]
+    with pytest.raises(RuntimeError, match=STALE.format(type(model).__name__)):
+        model.backward(dlogits)
+    assert [p.grad.tobytes() for p in model.params()] == grads
+    # one forward makes one backward valid again
+    model.backward(np.ones_like(model.forward(_batch())))
+    assert [p.grad.tobytes() for p in model.params()] != grads
+
+
+@pytest.mark.parametrize("task", sorted(MODELS))
+def test_global_features_is_an_inference_forward(task):
+    model = MODELS[task]()
+    x = _batch()
+    feat = model.global_features(x)
+    assert not numcore.inference_enabled()
+    assert [(t, a) for t, a, value in _caches(model) if value is not None] \
+        == []
+    assert model.encoder.tapped is None
+    with inference():
+        assert model.global_features(x).tobytes() == feat.tobytes()
 
 
 def _grads(model, x, labels):

@@ -37,3 +37,5 @@ def test_recipe_prints_the_same_lines_twice():
     assert logs[0] == "classify log: epoch,loss,train_acc,val_acc"
     assert logs[3] == "segment log: epoch,loss,train_acc,val_acc"
     assert [line.split(": ")[1].count(",") for line in logs] == [3] * 6
+    # the recipe validates on the training clouds
+    assert all(not line.endswith("nan") for line in logs)

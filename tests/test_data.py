@@ -71,6 +71,30 @@ def test_idx_truncated_reports_offset(tmp_path):
         load_idx_images(img_path, lbl_path)
 
 
+@pytest.mark.parametrize("count,rows", [(0x7fffffff, 28), (-1, 28),
+                                        (1, -28)])
+def test_idx_image_header_sizes_checked_before_reading(tmp_path, count,
+                                                      rows):
+    # one image's bytes follow a header that declares other sizes
+    img_path, lbl_path = write_idx_pair(
+        tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), [0])
+    img_path.write_bytes(struct.pack(">iiii", 0x00000803, count, rows, 28)
+                         + img_path.read_bytes()[16:])
+    with pytest.raises(FormatError,
+                       match=rf"images\.idx: .* at byte 16, 784 bytes left"):
+        load_idx_images(img_path, lbl_path)
+
+
+@pytest.mark.parametrize("count", [0x7fffffff, -1])
+def test_idx_label_count_checked_before_reading(tmp_path, count):
+    img_path, lbl_path = write_idx_pair(
+        tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), [0])
+    lbl_path.write_bytes(struct.pack(">ii", 0x00000801, count) + b"\x00")
+    with pytest.raises(FormatError,
+                       match=rf"labels\.idx: .* at byte 8, 1 bytes left"):
+        load_idx_images(img_path, lbl_path)
+
+
 # -- MNIST conversion ---------------------------------------------------------
 
 def test_mnist_single_pixel_forced_xy():
@@ -731,6 +755,18 @@ def test_manifest_missing_file(tmp_path):
     m = tmp_path / "train.manifest"
     m.write_text("#classes: a,b\nmissing.txt\t0\n")
     with pytest.raises(FormatError, match="missing"):
+        load_manifest(m)
+
+
+@pytest.mark.parametrize("line", ["\t0", "c.txt\t0\t", ".\t0",
+                                  "c.txt\t0\tsub"])
+def test_manifest_paths_must_name_files(tmp_path, line):
+    # an empty cloud or seg field, or one that names a directory
+    (tmp_path / "c.txt").write_text("0 0 0\n")
+    (tmp_path / "sub").mkdir()
+    m = tmp_path / "train.manifest"
+    m.write_text(f"c.txt\t1\n{line}\n")
+    with pytest.raises(FormatError, match=r"train\.manifest:2: missing file"):
         load_manifest(m)
 
 

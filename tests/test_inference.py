@@ -35,7 +35,9 @@ def test_inference_forward_is_byte_equal_to_cached(dtype, depth, din, n, bs):
     model = Classifier(din, 3, k=16, depth=depth, seed=depth, dtype=dtype)
     x = np.random.default_rng(n * bs).uniform(
         -1, 1, size=(bs, n, din)).astype(dtype)
-    logits, feat = model.forward(x), model.global_features(x)
+    # the feature of a training forward, which does not stream
+    logits = model.forward(x)
+    feat = model.pool.forward(model.encoder.forward(x))
     with inference():
         streamed_logits = model.forward(x)
         streamed_feat = model.global_features(x)

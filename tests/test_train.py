@@ -642,14 +642,44 @@ def test_train_samples_validation_clouds_once(fps_calls):
         6, points_each=64, seed=1)
     cfg = _tiny_cfg(epochs=3, batch_size=4, n_points=32)
     model, log = train(clouds, cfg, val_clouds=val)
-    # the validation clouds first, then each warm-up batch
+    # the validation clouds first, then each warm-up batch, in batch_size
+    # chunks
     assert [(len(call["clouds"]), call["n"]) for call in fps_calls] == \
-        [(6, 32), (4, 32), (4, 32)]
-    assert list(map(id, fps_calls[0]["clouds"])) == list(map(id, val))
+        [(4, 32), (2, 32), (4, 32), (4, 32)]
+    assert list(map(id, fps_calls[0]["clouds"] + fps_calls[1]["clouds"])) \
+        == list(map(id, val))
     _assert_canonical_per_cloud(fps_calls)
     # the last epoch's val_acc has the bits of evaluating the clouds afresh
     assert log[-1][3] == evaluate_classification(
         model, val, 32).instance_accuracy
+
+
+def test_validation_chunks_sample_as_one_call(fps_calls):
+    # a chunk's samples are the ones a single call over every cloud makes
+    clouds, val = make_clouds(4), make_clouds(7, points_each=48, seed=2)
+    train(clouds, _tiny_cfg(epochs=1, batch_size=3, n_points=20),
+          val_clouds=val)
+    chunked = [c for call in fps_calls[:3] for c in call["out"]]
+    assert [len(call["clouds"]) for call in fps_calls[:3]] == [3, 3, 1]
+    whole = farthest_point_sample(val, 20, [canonical_start(c) for c in val])
+    assert [c.points.tobytes() for c in chunked] == \
+        [c.points.tobytes() for c in whole]
+
+
+@pytest.mark.parametrize("task", ["classify", "segment"])
+def test_train_checks_validation_din_before_preparing(task, monkeypatch):
+    # 6-column training clouds with 3-column validation clouds
+    prepared = []
+    monkeypatch.setattr(train_module, "_prepare_batch",
+                        lambda *args: prepared.append(args))
+    normals = np.tile([0.0, 0.0, 1.0], (32, 1))
+    clouds = [PointCloud(c.points, normals, part_labels=c.part_labels,
+                         class_label=c.class_label)
+              for c in make_clouds(4, with_parts=True)]
+    val = make_clouds(2, with_parts=True)
+    with pytest.raises(DataError, match="every validation cloud needs 6"):
+        train(clouds, _tiny_cfg(task=task, n_points=16), val_clouds=val)
+    assert prepared == []
 
 
 def test_evaluation_samples_each_batch_once(fps_calls):

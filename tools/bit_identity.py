@@ -4,19 +4,21 @@ trees of penet byte for byte.
     python3 tools/bit_identity.py
 
 The recipe, run through ``penet.cli.main`` in a temporary directory:
-``synth --per-class 8 --points 512 --seed 3``; ``train --seed 3 --set
-epochs=3 --set n_points=128`` for a classifier and, with ``.seg``
-sidecars whose part is (z > 0) + 2·(x > 0) of the loaded points, with
-``--set task=segment`` for a segmenter; ``sweep --split train --points
+``synth --per-class 8 --points 512 --seed 3``; a ``val.manifest`` that
+lists every training cloud again, more than one batch_size chunk, so
+each log's ``val_acc`` is compared too; ``train --seed 3 --set epochs=3
+--set n_points=128`` for a classifier and, with ``.seg`` sidecars whose
+part is (z > 0) + 2·(x > 0) of the loaded points, with ``--set
+task=segment`` for a segmenter; ``sweep --split train --points
 512,64,128,64`` with the classifier; ``eval --split train --points 200``
 with each checkpoint; and ``embed`` of the first cloud with each.
 
 It prints the sha256 of the files ``synth`` wrote (each file's name, its
 length and its bytes, in name order, before the recipe adds its own
-``.seg`` sidecars), of both checkpoints, the sweep CSV and each eval and
-embed output, then each training log without its seconds column. Run it
-in both trees on the same host and compare the outputs; the hashes depend
-on the BLAS build and thread count.
+``.seg`` sidecars and ``val.manifest``), of both checkpoints, the sweep
+CSV and each eval and embed output, then each training log without its
+seconds column. Run it in both trees on the same host and compare the
+outputs; the hashes depend on the BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ def recipe(work: Path, per_class: int, points: int, epochs: int,
         parts = (p[:, 2] > 0).astype(int) + 2 * (p[:, 0] > 0)
         (data / f"{rel}.seg").write_text(
             "".join(f"{part}\n" for part in parts), encoding="utf-8")
+    (data / "val.manifest").write_bytes(
+        (data / "train.manifest").read_bytes())
     first = str(data / manifest.entries[0][0])
     for task in ("classify", "segment"):
         ckpt = work / f"{task}.ckpt"
