@@ -10,8 +10,9 @@ sends that branch's gradient back to the tap.
 
 Each ``backward`` reads the caches of one forward run outside
 ``numcore.inference()``. Such a forward sets a flag that ``backward``
-checks and clears before it touches a gradient, so a backward before any
-forward, after an inference forward or a second one raises.
+checks and clears before it touches a gradient, so ``backward`` raises
+before any forward, after an inference forward and when it runs twice
+after one forward.
 ``global_features`` is an inference forward: like the classifier's
 forward inside the switch it taps nothing, so the encoder streams its
 per-point layers (encoder.py).

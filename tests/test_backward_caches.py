@@ -113,7 +113,8 @@ def test_backward_after_interleaved_inference_forward_raises(task, inferred):
 @pytest.mark.parametrize("bs", [3, 5])
 def test_backward_after_global_features_raises(task, bs):
     # global_features is an inference forward: it drops the encoder's and
-    # GlobalPool's caches and keeps the head's, at bs = 3 of fresh shapes
+    # GlobalPool's caches but leaves the head's, which at bs = 3 have the
+    # shapes of a fresh forward's
     model = MODELS[task]()
     logits = model.forward(_batch())
     model.global_features(_batch(seed=1, bs=bs))
