@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import (AugmentConfig, load_cloud_text, load_dataset,
                    load_manifest, synth_shapes)
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_int
 from .models import Classifier
 from .numcore import grad_check, softmax_cross_entropy
 from .train import (TrainConfig, _prepare_batch, evaluate_classification,
@@ -144,17 +144,12 @@ def cmd_eval(args) -> int:
     if n is None:
         raise ConfigError("checkpoint lacks train_points; pass --points")
     if model.task == "classify":
-        if any(c.class_label is None for c in clouds):
-            raise ConfigError("classification checkpoint needs labeled clouds")
         report = evaluate_classification(model, clouds, n)
         print(f"instance accuracy: {report.instance_accuracy:.4f}")
         print(f"class accuracy:    {report.class_accuracy:.4f}")
         print(f"METRICS instance={report.instance_accuracy:.6f} "
               f"class={report.class_accuracy:.6f}")
     else:
-        if any(c.part_labels is None for c in clouds):
-            raise ConfigError(
-                "segmentation checkpoint given data without part labels")
         report = evaluate_segmentation(model, clouds, n)
         print(f"point accuracy: {report.instance_accuracy:.4f}")
         print(f"mean mIoU:      {report.mean_miou:.4f}")
@@ -195,6 +190,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    check_int(args.k, "--k", 1)
+    check_int(args.depth, "--depth", 1, 5)
     model = Classifier(din=6, num_classes=4, k=args.k, depth=args.depth,
                        seed=7, dtype=np.float64)
     rng = np.random.default_rng(11)
@@ -220,10 +217,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    for flag, value in (("--per-class", args.per_class),
-                        ("--points", args.points)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    # synth_shapes checks these too, under its argument names
+    for flag, value, low in (("--per-class", args.per_class, 1),
+                             ("--points", args.points, 1),
+                             ("--seed", args.seed, 0)):
+        check_int(value, flag, low)
     out = Path(args.out)
     synth_shapes(out, args.per_class, args.points, args.seed,
                  split=args.split)

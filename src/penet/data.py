@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, EmptyCloudError, FormatError,
-                     SamplingError)
+from .errors import (DataError, EmptyCloudError, FormatError, SamplingError,
+                     check_int)
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -258,17 +258,14 @@ def farthest_point_sample(clouds, n: int, start=0):
 
 def _check_starts(clouds, start) -> np.ndarray:
     """One int64 start per cloud, or SamplingError naming the first cloud
-    whose start is not an integer index into it."""
+    whose start is not an integer index into it (``check_int``)."""
     starts = list(start) if np.iterable(start) else [start] * len(clouds)
     if len(starts) != len(clouds):
         raise SamplingError(
             f"{len(starts)} start indices for {len(clouds)} clouds")
     for j, (cloud, s) in enumerate(zip(clouds, starts)):
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) \
-                or not 0 <= s < len(cloud):
-            raise SamplingError(
-                f"cloud {j}: start {s} is not an index into its "
-                f"{len(cloud)} points")
+        check_int(s, f"cloud {j}: start {s}", 0, len(cloud) - 1,
+                  SamplingError)
     return np.array(starts, dtype=np.int64)
 
 
@@ -575,11 +572,12 @@ _SYNTH_GEN = {"sphere": _sphere, "cube": _cube, "cylinder": _cylinder,
 def synth_shapes(out_dir, n_per_class: int, n_points: int, seed: int,
                  split: str = "train") -> DatasetManifest:
     """Write a 4-class analytic dataset (with normals) in the text format
-    and return its manifest. ``n_per_class`` and ``n_points`` below 1
-    raise ConfigError naming the argument, before ``out_dir`` is made."""
-    for name, value in (("n_per_class", n_per_class), ("n_points", n_points)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    and return its manifest. ``n_per_class`` and ``n_points`` that are
+    not integers >= 1, or a ``seed`` that is not an integer >= 0, raise
+    ConfigError naming the argument, before ``out_dir`` is made."""
+    for name, value, low in (("n_per_class", n_per_class, 1),
+                             ("n_points", n_points, 1), ("seed", seed, 0)):
+        check_int(value, name, low)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["#classes: " + ",".join(SYNTH_CLASSES)]

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_int``, the one
+check of an integer bound.
+
+Every integer that arrives from outside goes through ``check_int``: the
+``TrainConfig`` fields, the integers of checkpoint metadata, the synth
+sizes and seed, the CLI's integer flags and the start indices of
+``farthest_point_sample``. Python and numpy integers pass and come back
+as a plain ``int``; a bool, a float, a string, ``None`` or an array does
+not, and neither does a value outside its bounds. The error names the
+value and the bound it broke.
+"""
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -27,3 +39,19 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Dataset contents violate a documented constraint."""
+
+
+def check_int(value, name: str, low: int, high: int | None = None,
+              error: type[ValueError] = ConfigError) -> int:
+    """``value`` as a plain int if it is an integer in [low, high] (no
+    upper bound when ``high`` is None); otherwise raise ``error`` naming
+    ``name``: "{name} must be an integer, got {value!r}", "{name} must be
+    >= {low}, got {value}" or "{name} must be <= {high}, got {value}"."""
+    # bool is an int subclass; a 0-d array is no np.integer, so it fails
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value}")
+    return int(value)

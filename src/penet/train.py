@@ -28,7 +28,7 @@ import numpy as np
 from .data import (AugmentConfig, PointCloud, augment, canonical_start,
                    check_sample_count, farthest_point_sample,
                    normalize_batch, sample_seed)
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, check_int
 from .heads import predict
 from .models import Classifier, Segmenter
 from .numcore import Adam, SGD, inference, softmax_cross_entropy
@@ -57,19 +57,12 @@ class TrainConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("n_points", 1),
-                          ("k", 1), ("encoder_depth", 1), ("lr_step", 0),
-                          ("seed", 0)):
-            value = getattr(self, name)
-            # numpy integers pass, as in data._check_starts
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
-            setattr(self, name, int(value))     # the metadata is JSON
-        if self.encoder_depth > 5:
-            raise ConfigError("encoder_depth must be 1..5")
+        for name, low, high in (("epochs", 1, None), ("batch_size", 1, None),
+                                ("n_points", 1, None), ("k", 1, None),
+                                ("encoder_depth", 1, 5), ("lr_step", 0, None),
+                                ("seed", 0, None)):
+            value = check_int(getattr(self, name), name, low, high)
+            setattr(self, name, value)      # a plain int: the metadata is JSON
         for name in ("lr", "lr_gamma"):
             if not 0 < getattr(self, name) < math.inf:   # nan fails too
                 raise ConfigError(f"{name} must be finite and > 0, got "
@@ -130,20 +123,6 @@ def _reader(data: bytes):
     return take
 
 
-def _meta_ints(meta: dict, *keys: str) -> list[int]:
-    """The named integer fields of checkpoint metadata, or FormatError."""
-    values = []
-    for key in keys:
-        if key not in meta:
-            raise FormatError(f"checkpoint metadata lacks {key!r}")
-        value = meta[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise FormatError(
-                f"checkpoint metadata {key!r} is {value!r}, not an integer")
-        values.append(value)
-    return values
-
-
 def load_checkpoint(path):
     """Rebuild a model purely from the file's metadata and arrays.
 
@@ -192,18 +171,18 @@ def load_checkpoint(path):
     # train(), so bench/run.py can replace them to time every layer
     classify = task == "classify"
     n_out_key = "num_classes" if classify else "num_parts"
-    din, n_out, k, depth = _meta_ints(meta, "din", n_out_key, "k",
-                                      "encoder_depth")
     # din, n_out and k each size an array of a valid file, so none exceeds
     # its value count; corrupt metadata cannot build a model far larger
-    # than the file
+    # than the file. A missing key reads None, which is no integer.
     n_values = sum(a.size for a in arrays.values())
-    if not all(1 <= v <= n_values for v in (din, n_out, k)):
-        raise FormatError(
-            f"checkpoint metadata din={din}, {n_out_key}={n_out}, k={k} "
-            f"does not fit the {n_values} values in the file")
-    if "train_points" in meta and _meta_ints(meta, "train_points")[0] < 1:
-        raise FormatError("checkpoint metadata 'train_points' is below 1")
+    din, n_out, k, depth = (
+        check_int(meta.get(key), f"checkpoint metadata {key!r}", 1, high,
+                  FormatError)
+        for key, high in (("din", n_values), (n_out_key, n_values),
+                          ("k", n_values), ("encoder_depth", None)))
+    if "train_points" in meta:
+        check_int(meta["train_points"], "checkpoint metadata 'train_points'",
+                  1, error=FormatError)
     try:
         model = (Classifier if classify else Segmenter)(din, n_out, k=k,
                                                         depth=depth)
@@ -409,7 +388,9 @@ def _eval_batches(model, clouds: list[PointCloud], counts: list[int],
 def _classification_reports(model, clouds: list[PointCloud],
                             counts: list[int]) -> dict[int, MetricsReport]:
     """evaluate_classification's report for each of the distinct counts,
-    from one pass over the batches."""
+    from one pass over the batches. Every cloud needs a class label."""
+    if any(c.class_label is None for c in clouds):
+        raise ConfigError("classify evaluation requires class labels")
     t0 = time.perf_counter()
     totals: dict[int, dict[int, int]] = {n: {} for n in counts}
     hits: dict[int, dict[int, int]] = {n: {} for n in counts}
@@ -461,7 +442,10 @@ def category_parts(clouds: list[PointCloud]) -> dict[int, list[int]]:
 def evaluate_segmentation(model, clouds: list[PointCloud], n_points: int,
                           parts_by_category: dict[int, list[int]] | None = None
                           ) -> MetricsReport:
-    """Shape mIoU averaged per category and (shape-weighted) overall."""
+    """Shape mIoU averaged per category and (shape-weighted) overall.
+    Every cloud needs part labels."""
+    if any(c.part_labels is None for c in clouds):
+        raise ConfigError("segment evaluation requires part labels")
     t0 = time.perf_counter()
     if parts_by_category is None:
         parts_by_category = category_parts(clouds)

@@ -1,10 +1,11 @@
+import argparse
 import importlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from penet.cli import build_train_config, main
+from penet.cli import build_parser, build_train_config, main
 from penet.data import AugmentConfig
 from penet.errors import ConfigError
 from penet.train import TrainConfig
@@ -443,3 +444,63 @@ def test_config_unparsable_value_names_its_key(item):
     key = item.partition("=")[0]
     with pytest.raises(ConfigError, match=f"config key '{key}'"):
         build_train_config(None, [item], None)
+
+
+# (subcommand, flag) -> (the name its error uses, floor, ceiling or None).
+# train's --seed is checked by TrainConfig, as the config key seed.
+_INT_OPTION_BOUNDS = {
+    ("train", "--seed"): ("seed", 0, None),
+    ("gradcheck", "--depth"): ("--depth", 1, 5),
+    ("gradcheck", "--k"): ("--k", 1, None),
+    ("synth", "--per-class"): ("--per-class", 1, None),
+    ("synth", "--points"): ("--points", 1, None),
+    ("synth", "--seed"): ("--seed", 0, None),
+}
+
+
+def _subcommand_parsers():
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _int_options():
+    """(subcommand, option action) of every type=int option of every
+    subcommand."""
+    return [(name, action) for name, sub in _subcommand_parsers().items()
+            for action in sub._actions if action.type is int]
+
+
+@pytest.mark.parametrize("command, action", _int_options(),
+                         ids=lambda v: getattr(v, "dest", v))
+def test_integer_option_out_of_bounds_is_one_line_error(
+        tmp_path, monkeypatch, capsys, command, action):
+    flag = action.option_strings[0]
+    assert (command, flag) in _INT_OPTION_BOUNDS, \
+        f"record the bounds of {command} {flag}"
+    name, low, high = _INT_OPTION_BOUNDS[command, flag]
+    monkeypatch.chdir(tmp_path)
+    required = [arg for a in _subcommand_parsers()[command]._actions
+                if a.required for arg in (a.option_strings[0],
+                                          str(tmp_path / a.dest))]
+    cases = [(low - 1, f">= {low}")]
+    if high is not None:
+        cases.append((high + 1, f"<= {high}"))
+    for value, bound in cases:
+        assert main([command, *required, flag, str(value)]) == 1
+        assert _one_line_error(capsys) == \
+            f"error: {name} must be {bound}, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_segmentation_checkpoint_on_unlabeled_parts(synth_dir, tmp_path,
+                                                          capsys):
+    from penet.models import Segmenter
+    from penet.train import save_checkpoint
+    model = Segmenter(din=6, num_parts=3, k=64, depth=3)
+    model.extra_meta["train_points"] = 32
+    ckpt = tmp_path / "seg.ckpt"
+    save_checkpoint(model, ckpt)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir)]) == 1
+    assert _one_line_error(capsys) == \
+        "error: segment evaluation requires part labels\n"

@@ -848,3 +848,16 @@ def test_pointcloud_rejects_negative_part_label():
         PointCloud(np.zeros((3, 3)), part_labels=[0, -2, 1])
     cloud = PointCloud(np.zeros((2, 3)), part_labels=[0, 1])
     assert cloud.part_labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("sizes, match", [
+    ({"seed": -1}, r"^seed must be >= 0, got -1$"),
+    ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+    ({"n_points": 2.5}, r"^n_points must be an integer, got 2\.5$"),
+    ({"n_per_class": True}, r"^n_per_class must be an integer, got True$")])
+def test_synth_rejects_bad_integers_before_making_the_directory(tmp_path,
+                                                               sizes, match):
+    args = {"n_per_class": 2, "n_points": 16, "seed": 0, **sizes}
+    with pytest.raises(ConfigError, match=match):
+        synth_shapes(tmp_path / "out", **args)
+    assert not (tmp_path / "out").exists()

@@ -937,3 +937,27 @@ def test_evaluation_report_ignores_row_order_at_full_size(trained_on_synth):
     model, clouds, shuffled = trained_on_synth
     _same_report(evaluate_classification(model, clouds, 128),
                  evaluate_classification(model, shuffled, 128))
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda model, clouds: evaluate_classification(model, clouds, 8),
+    lambda model, clouds: sweep_point_count(model, clouds, [8, 16])],
+    ids=["evaluate_classification", "sweep_point_count"])
+def test_classification_requires_class_labels(evaluate):
+    # once scored 0.0 with per_class_counts {None: 4}
+    clouds = [PointCloud(c.points) for c in make_clouds(4)]
+    with pytest.raises(ConfigError,
+                       match="^classify evaluation requires class labels$"):
+        evaluate(FixedModel([0] * 8, n_classes=2), clouds)
+
+
+@pytest.mark.parametrize("parts_by_category", [None, {0: [0, 1, 2],
+                                                       1: [0, 1, 2]}])
+def test_segmentation_requires_part_labels(parts_by_category):
+    # once a bare TypeError from category_parts
+    clouds = make_clouds(4)
+    clouds[2] = make_clouds(4, with_parts=True)[2]
+    model = Segmenter(din=3, num_parts=3, k=64, depth=3, seed=0)
+    with pytest.raises(ConfigError,
+                       match="^segment evaluation requires part labels$"):
+        evaluate_segmentation(model, clouds, 16, parts_by_category)
