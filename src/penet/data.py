@@ -206,9 +206,11 @@ def mnist_to_pointcloud(image: np.ndarray, n_points: int = 5000,
 
 
 def check_sample_count(clouds, n: int):
-    """Raise SamplingError unless every cloud holds at least n >= 1 points."""
+    """Raise SamplingError unless n is an integer >= 1 and every cloud
+    holds at least n points."""
+    check_int(n, "point count", 1, error=SamplingError)
     for cloud in clouds:
-        if not 1 <= n <= len(cloud):
+        if n > len(cloud):
             raise SamplingError(
                 f"cannot sample {n} points from a cloud of {len(cloud)}")
 
@@ -258,7 +260,7 @@ def farthest_point_sample(clouds, n: int, start=0):
 
 def _check_starts(clouds, start) -> np.ndarray:
     """One int64 start per cloud, or SamplingError naming the first cloud
-    whose start is not an integer index into it (``check_int``)."""
+    whose start is not an integer index into it."""
     starts = list(start) if np.iterable(start) else [start] * len(clouds)
     if len(starts) != len(clouds):
         raise SamplingError(

@@ -961,3 +961,17 @@ def test_segmentation_requires_part_labels(parts_by_category):
     with pytest.raises(ConfigError,
                        match="^segment evaluation requires part labels$"):
         evaluate_segmentation(model, clouds, 16, parts_by_category)
+
+
+@pytest.mark.parametrize("n, match", [
+    (8.5, "^point count must be an integer, got 8.5$"),
+    (True, "^point count must be an integer, got True$"),
+    (0, "^point count must be >= 1, got 0$")])
+def test_evaluation_point_count_must_be_an_integer(n, match, fps_calls):
+    # 8.5 and True once failed inside sampling with a bare TypeError
+    clouds = make_clouds(2)
+    with pytest.raises(SamplingError, match=match):
+        evaluate_classification(FixedModel([0, 0], n_classes=2), clouds, n)
+    with pytest.raises(SamplingError, match=match):
+        sweep_point_count(FixedModel([0, 0], n_classes=2), clouds, [16, n])
+    assert fps_calls == []
