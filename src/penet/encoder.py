@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyCloudError, LayoutError
+from .errors import DimensionError, EmptyCloudError, LayoutError, check_int
 from .numcore import (Linear, ParamTensor, ReLU, backward_layers,
                        forward_layers, inference_enabled)
 
@@ -72,8 +72,8 @@ class Encoder:
 
     def __init__(self, din: int, k: int = 1024, depth: int = 3,
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        if depth not in _DEPTH_WIDTHS:
-            raise ValueError(f"encoder depth must be 1..5, got {depth}")
+        depth = check_int(depth, "encoder depth", 1, len(_DEPTH_WIDTHS),
+                          ValueError)
         if rng is None:
             rng = np.random.default_rng(0)
         self.din, self.k, self.depth = din, k, depth

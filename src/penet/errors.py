@@ -3,11 +3,11 @@ check of an integer bound.
 
 Every integer that arrives from outside goes through ``check_int``: the
 ``TrainConfig`` fields, the integers of checkpoint metadata, the synth
-sizes and seed, the CLI's integer flags, and the point counts and start
-indices of sampling and evaluation. Python and numpy integers pass and
-come back as a plain ``int``; a bool, a float, a string, ``None`` or an
-array does not, and neither does a value outside its bounds. The error
-names the value and the bound it broke.
+sizes and seed, the CLI's integer flags, an encoder's depth, and the
+point counts and start indices of sampling and evaluation. Python and
+numpy integers pass and come back as a plain ``int``; a bool, a float, a
+string, ``None`` or an array does not, and neither does a value outside
+its bounds. The error names the value and the bound it broke.
 """
 
 import numpy as np

@@ -209,3 +209,14 @@ def test_untrained_checkpoint_bytes_pinned(tmp_path, cls, kwargs, digest):
 def test_non_square_k_rejected_at_construction(cls, kwargs):
     with pytest.raises(DimensionError, match="1000 is not a perfect square"):
         cls(k=1000, **kwargs)
+
+
+@pytest.mark.parametrize("model, depth, match", [
+    (Classifier, True, "^encoder depth must be an integer, got True$"),
+    (Classifier, 2.0, "^encoder depth must be an integer, got 2.0$"),
+    (Classifier, 0, "^encoder depth must be >= 1, got 0$"),
+    (Segmenter, 6, "^encoder depth must be <= 5, got 6$")])
+def test_encoder_depth_is_checked_as_an_integer(model, depth, match):
+    # True once built a depth-1 model whose checkpoint the loader rejected
+    with pytest.raises(ValueError, match=match):
+        model(3, 2, k=16, depth=depth)
