@@ -21,6 +21,7 @@ label in a ``.seg`` file, raises FormatError naming the file and line, and
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -413,33 +414,53 @@ def _read_part_labels(seg_path, n_points: int) -> np.ndarray:
 
 
 def load_cloud_text(path, seg_path=None) -> PointCloud:
-    """One point per line: "x y z" or "x y z nx ny nz". Part labels come
-    from ``seg_path`` if given, else from a ``<path>.seg`` sidecar if one
-    exists."""
+    """One point per line: "x y z" or "x y z nx ny nz"; blank lines are
+    skipped. Part labels come from ``seg_path`` if given, else from a
+    ``<path>.seg`` sidecar if one exists.
+
+    One pass over the file's lines splits each line at whitespace and
+    checks its column count against the first line's. Then every token is
+    converted in one ``np.fromiter`` call, which reads a str through
+    Python's ``float()``, and the doubles are rounded once to float32: the
+    values of a ``float()`` per token. Errors name the file and line, in
+    file order: 3 or 6 columns, a ragged row, the first non-numeric token,
+    or no points at all."""
     path = Path(path)
-    rows = []
+    rows, linenos = [], []          # each data line's tokens and number
     ncols = None
-    for lineno, line in _text_lines(path):
-        toks = line.split()
-        if not toks:
-            continue
-        if ncols is None:
-            ncols = len(toks)
-            if ncols not in (3, 6):
+    try:
+        for lineno, line in _text_lines(path):
+            toks = line.split()
+            if not toks:
+                continue
+            if ncols is None:
+                ncols = len(toks)
+                if ncols not in (3, 6):
+                    raise FormatError(
+                        f"{path}:{lineno}: expected 3 or 6 columns, got "
+                        f"{ncols}")
+            elif len(toks) != ncols:
                 raise FormatError(
-                    f"{path}:{lineno}: expected 3 or 6 columns, got {ncols}")
-        elif len(toks) != ncols:
-            raise FormatError(
-                f"{path}:{lineno}: ragged row, expected {ncols} columns, "
-                f"got {len(toks)}")
-        try:
-            rows.append([float(t) for t in toks])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-numeric token: {exc}")
-    if not rows:
-        raise EmptyCloudError(f"{path}: no points")
+                    f"{path}:{lineno}: ragged row, expected {ncols} columns, "
+                    f"got {len(toks)}")
+            rows.append(toks)
+            linenos.append(lineno)
+        if not rows:
+            raise EmptyCloudError(f"{path}: no points")
+        values = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
+                             count=len(rows) * ncols)
+    except ValueError:
+        # float() finds the bad token, which comes before a later line's
+        # column error in file order
+        for lineno, toks in zip(linenos, rows):
+            try:
+                [float(t) for t in toks]
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path}:{lineno}: non-numeric token: {exc}") from None
+        raise
     with np.errstate(over="ignore"):   # beyond float32 becomes inf: rejected
-        arr = np.asarray(rows, dtype=np.float32)
+        arr = values.reshape(-1, ncols).astype(np.float32)
     normals = arr[:, 3:6] if ncols == 6 else None
 
     part_labels = None

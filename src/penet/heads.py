@@ -34,7 +34,7 @@ from .numcore import (Conv2d, Linear, MaxPool2d, ParamTensor, ReLU,
 def grid_side(k: int) -> int:
     g = math.isqrt(k)
     if g * g != k:
-        raise DimensionError(f"feature length {k} is not a perfect square")
+        raise DimensionError(f"k {k} is not a perfect square")
     return g
 
 
@@ -63,7 +63,8 @@ class ClassHead:
                  dtype=np.float32):
         g = grid_side(k)
         if g // 4 < 1:
-            raise DimensionError(f"grid {g}x{g} too small for two 2x2 pools")
+            raise DimensionError(
+                f"k {k} gives a {g}x{g} grid, too small for two 2x2 pools")
         self.k = k
         self.num_classes = num_classes
         self.conv1 = Conv2d(1, 16, 3, rng, pad=1, name="head.conv1", dtype=dtype)

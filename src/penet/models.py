@@ -24,7 +24,7 @@ import numpy as np
 
 from .aggregate import GlobalPool
 from .encoder import Encoder
-from .errors import DimensionError
+from .errors import DimensionError, check_int
 from .heads import ClassHead, SegHead, grid_side, reshape_grid
 from .numcore import ParamTensor, inference, inference_enabled
 
@@ -33,8 +33,10 @@ class PENet:
     """Encoder, GlobalPool and a task head over (bs, N, din) batches.
 
     ``out_key`` names the output count, both as an attribute and in the
-    checkpoint metadata. The feature length k must be a perfect square,
-    checked here for both tasks because the metadata records g = sqrt(k).
+    checkpoint metadata. ``din``, the output count and ``k`` must be
+    integers >= 1 (``check_int``, stored as plain ints: the metadata is
+    JSON), and k must be a perfect square, checked here for both tasks
+    because the metadata records g = sqrt(k).
     """
 
     task: str
@@ -42,11 +44,15 @@ class PENet:
 
     def __init__(self, din: int, n_out: int, k: int, depth: int, seed: int,
                  dtype, make_head):
+        din = check_int(din, "din", 1)
+        n_out = check_int(n_out, self.out_key, 1)
+        k = check_int(k, "k", 1)
         self.g = grid_side(k)
         rng = np.random.default_rng(seed)
-        self.din, self.k, self.depth = din, k, depth
+        self.din, self.k = din, k
         setattr(self, self.out_key, n_out)
         self.encoder = Encoder(din, k=k, depth=depth, rng=rng, dtype=dtype)
+        self.depth = self.encoder.depth     # a plain int, checked there
         self.pool = GlobalPool()
         self.head = make_head(rng)
         self.extra_meta: dict = {}
@@ -113,7 +119,8 @@ class Classifier(PENet):
     def __init__(self, din: int, num_classes: int, k: int = 1024,
                  depth: int = 3, seed: int = 0, dtype=np.float32):
         super().__init__(din, num_classes, k, depth, seed, dtype,
-                         lambda rng: ClassHead(k, num_classes, rng, dtype=dtype))
+                         lambda rng: ClassHead(self.k, self.num_classes, rng,
+                                               dtype=dtype))
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, num_classes)."""
@@ -138,12 +145,12 @@ class Segmenter(PENet):
 
     def __init__(self, din: int, num_parts: int, k: int = 1024,
                  depth: int = 3, seed: int = 0, dtype=np.float32):
-        if depth < 3:
+        if check_int(depth, "encoder depth", 1, error=ValueError) < 3:
             raise ValueError("segmentation needs the 128-wide hidden layer "
                              "(encoder depth >= 3)")
         super().__init__(din, num_parts, k, depth, seed, dtype,
-                         lambda rng: SegHead(k, self.LOCAL_DIM, num_parts, rng,
-                                             dtype=dtype))
+                         lambda rng: SegHead(self.k, self.LOCAL_DIM,
+                                             self.num_parts, rng, dtype=dtype))
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         """(bs, N, din) -> (bs, N, num_parts)."""

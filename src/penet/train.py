@@ -88,9 +88,13 @@ def save_checkpoint(model, path):
 
     All integers little-endian u32; array payloads little-endian float32.
     The layout is stable so a written file can be compared byte for byte.
+    An array with a non-finite value raises FormatError naming it, before
+    the file is opened.
     """
     meta = json.dumps(model.metadata(), sort_keys=True).encode("utf-8")
     arrays = model.named_params()
+    for name, value in arrays.items():
+        _check_finite(name, value)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -104,6 +108,11 @@ def save_checkpoint(model, path):
             f.write(struct.pack("<I", value.ndim))
             f.write(struct.pack(f"<{value.ndim}I", *value.shape))
             f.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+
+
+def _check_finite(name: str, value: np.ndarray):
+    if not np.isfinite(value).all():
+        raise FormatError(f"checkpoint array {name!r} has non-finite values")
 
 
 def _reader(data: bytes):
@@ -127,7 +136,8 @@ def load_checkpoint(path):
     """Rebuild a model purely from the file's metadata and arrays.
 
     Every length, rank and array size is checked against the bytes left in
-    the file before it is read, so a corrupt file raises FormatError.
+    the file before it is read, so a corrupt file raises FormatError, as
+    does an array with a non-finite value.
     """
     take = _reader(Path(path).read_bytes())
 
@@ -161,6 +171,7 @@ def load_checkpoint(path):
         payload = take(4 * math.prod(shape), f"{name} payload")
         # a read-only view of the file bytes; the model copies it below
         arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        _check_finite(name, arrays[name])
 
     if not isinstance(meta, dict):
         raise FormatError("checkpoint metadata is not a JSON object")
@@ -275,7 +286,9 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
     coordinates with
     ``augment(coordinates, cfg.augment, sample_seed(cfg.seed, epoch, i))``
     for cloud index i, so the run is reproducible whatever the order of
-    the batches.
+    the batches. A non-finite loss before a step, or a non-finite
+    parameter after the last one, raises ConfigError naming the lr, and
+    no log is written.
     """
     if not clouds:
         raise ConfigError("empty training set")
@@ -352,6 +365,11 @@ def train(clouds: list[PointCloud], cfg: TrainConfig,
         seconds = time.perf_counter() - t0
         log_rows.append((epoch, float(np.mean(losses)), train_acc, val_acc,
                          seconds))
+    # the loss check above runs before each step, so it never sees the last
+    for p in model.params():
+        if not np.isfinite(p.value).all():
+            raise ConfigError(f"training left non-finite values in {p.name} "
+                              f"(lr {opt.lr:g})")
 
     if log_path is not None:
         lines = ["epoch,loss,train_acc,val_acc,seconds"]

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from penet.data import PointCloud, canonical_start, farthest_point_sample
+from penet.data import (PointCloud, _read_part_labels, _text_lines,
+                        canonical_start, farthest_point_sample)
+from penet.errors import EmptyCloudError, FormatError
 from penet.heads import predict
 from penet.train import MetricsReport, category_parts, shape_miou
 
@@ -401,6 +403,44 @@ def reference_save_cloud_text(cloud, path):
         seg = path.with_suffix(path.suffix + ".seg")
         seg.write_text("\n".join(str(int(l)) for l in cloud.part_labels) + "\n",
                        encoding="utf-8")
+
+
+def reference_load_cloud_text(path, seg_path=None):
+    """The per-token text parser: one float() per token as each line is
+    read, each row a list of Python floats, then one conversion of the
+    list of rows to float32."""
+    path = Path(path)
+    rows = []
+    ncols = None
+    for lineno, line in _text_lines(path):
+        toks = line.split()
+        if not toks:
+            continue
+        if ncols is None:
+            ncols = len(toks)
+            if ncols not in (3, 6):
+                raise FormatError(
+                    f"{path}:{lineno}: expected 3 or 6 columns, got {ncols}")
+        elif len(toks) != ncols:
+            raise FormatError(
+                f"{path}:{lineno}: ragged row, expected {ncols} columns, "
+                f"got {len(toks)}")
+        try:
+            rows.append([float(t) for t in toks])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-numeric token: {exc}")
+    if not rows:
+        raise EmptyCloudError(f"{path}: no points")
+    with np.errstate(over="ignore"):
+        arr = np.asarray(rows, dtype=np.float32)
+    normals = arr[:, 3:6] if ncols == 6 else None
+    part_labels = None
+    if seg_path is None:
+        sidecar = path.with_suffix(path.suffix + ".seg")
+        seg_path = sidecar if sidecar.exists() else None
+    if seg_path is not None:
+        part_labels = _read_part_labels(seg_path, len(arr))
+    return PointCloud(arr[:, :3], normals=normals, part_labels=part_labels)
 
 
 def reference_prepare_batch(clouds, n):

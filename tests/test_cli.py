@@ -8,6 +8,7 @@ import pytest
 from penet.cli import build_parser, build_train_config, main
 from penet.data import AugmentConfig
 from penet.errors import ConfigError
+from penet.models import Classifier
 from penet.train import TrainConfig
 
 
@@ -318,6 +319,14 @@ def test_gradcheck_depth_5(capsys):
     assert main(["gradcheck", "--depth", "5", "--k", "16"]) == 0
 
 
+@pytest.mark.parametrize("k, message", [
+    ("20", "k 20 is not a perfect square"),
+    ("1", "k 1 gives a 1x1 grid, too small for two 2x2 pools")])
+def test_gradcheck_grid_errors_name_k(capsys, k, message):
+    assert main(["gradcheck", "--k", k]) == 1
+    assert _one_line_error(capsys) == f"error: {message}\n"
+
+
 def test_gradcheck_injected_bug_fails(capsys):
     assert main(["gradcheck", "--k", "16", "--inject-bug"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -504,3 +513,54 @@ def test_eval_segmentation_checkpoint_on_unlabeled_parts(synth_dir, tmp_path,
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir)]) == 1
     assert _one_line_error(capsys) == \
         "error: segment evaluation requires part labels\n"
+
+
+# one epoch of Adam at lr 1e40 leaves every parameter non-finite, and the
+# loss check before each step never sees the last step's update
+_BLOW_UP = ["--set", "epochs=1", "--set", "k=16", "--set", "n_points=32",
+            "--set", "lr=1e40"]
+
+
+@pytest.fixture(scope="module")
+def blow_up_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("blowup")
+    assert main(["synth", "--out", str(out), "--per-class", "2",
+                 "--points", "64"]) == 0
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_to_non_finite_parameters_is_one_line_error(blow_up_data,
+                                                          tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(blow_up_data), "--out", str(ckpt),
+                 *_BLOW_UP]) == 1
+    err = _one_line_error(capsys)
+    assert "non-finite values in encoder.layer1.w" in err
+    assert "lr 1e+40" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture()
+def nan_ckpt(tmp_path):
+    """A checkpoint of a 16-k classifier whose last value is NaN; the
+    writer refuses such a model, so the bytes are patched."""
+    from penet.train import save_checkpoint
+    model = Classifier(din=6, num_classes=4, k=16, depth=3)
+    model.extra_meta["train_points"] = 32
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + np.float32(np.nan).tobytes())
+    return path
+
+
+def test_eval_and_embed_reject_a_nan_checkpoint(blow_up_data, nan_ckpt,
+                                               capsys):
+    cloud = next(blow_up_data.glob("*.txt"))
+    for argv in (["eval", "--ckpt", str(nan_ckpt), "--data",
+                  str(blow_up_data), "--split", "train"],
+                 ["embed", "--ckpt", str(nan_ckpt), "--cloud", str(cloud)]):
+        assert main(argv) == 1
+        assert _one_line_error(capsys) == \
+            "error: checkpoint array 'head.fc2.b' has non-finite values\n"

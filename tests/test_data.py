@@ -18,7 +18,8 @@ from penet.errors import (ConfigError, DataError, EmptyCloudError,
                           FormatError, SamplingError)
 
 from oracles import (naive_fps, reference_augment, reference_fps_indices,
-                     reference_save_cloud_text, reference_zero_mean_normalize)
+                     reference_load_cloud_text, reference_save_cloud_text,
+                     reference_zero_mean_normalize)
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -587,6 +588,118 @@ def test_load_cloud_text_rejects_non_finite(tmp_path, text):
     path = tmp_path / "c.txt"
     path.write_text(text)
     with pytest.raises(DataError, match="finite"):
+        load_cloud_text(path)
+
+
+# tokens float() reads, some of them in ways a hand-written parser would
+# not: the last one is 1 + 2**-24 + 1e-33, which rounds to 1.0 through the
+# double and would round up if taken straight to float32
+_ODD_TOKENS = ["-0.0", "1_000", "\u0661\u0662", ".5", "5.", "+2",
+               "1.000000059604644775390625000000001"]
+_NON_FINITE_TOKENS = ["nan", "-inf", "1e39", "1e400"]
+_BAD_TOKENS = ["0x10", "1d5", "zero", "1,5"]
+_FORMATS = [repr, "%.6f".__mod__, "%.9g".__mod__, "%.3e".__mod__]
+# whitespace that str.split() splits at but file iteration keeps in a line;
+# str.splitlines() would break the line at all but the first three
+_SEPARATORS = [" ", "\t", "  ", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
+_UNIT_NORMALS = [(0.0, 0.0, 1.0), (-0.0, -1.0, 0.0), (0.6, 0.8, 0.0),
+                 (0.6, "-0.0", -0.8), (3 ** -0.5, -(3 ** -0.5), 3 ** -0.5)]
+# rules a file may break, alone or in pairs whose order in the file matters
+_FAULTS = [(), ("bad token",), ("ragged",), ("non-finite",), ("four columns",),
+           ("bad utf-8",), ("no points",), ("bad token", "ragged"),
+           ("non-finite", "ragged"), ("bad token", "non-finite"),
+           ("bad token", "bad utf-8")]
+
+
+@st.composite
+def cloud_files(draw):
+    """(cloud file bytes, .seg sidecar text or None): rows of 3 or 6 values
+    in one of four formats with odd tokens mixed in, blank and
+    whitespace-only lines, LF or CRLF endings and odd separators; more
+    than half the files break one or two rules of the format."""
+    faults = () if draw(st.booleans()) else draw(st.sampled_from(_FAULTS))
+    ncols = 4 if "four columns" in faults else draw(st.sampled_from([3, 6]))
+    nrows = 0 if "no points" in faults else draw(st.integers(1, 12))
+    fmt = draw(st.sampled_from(_FORMATS))
+    value = st.one_of(st.floats(-10, 10), st.floats(-1e18, 1e18),
+                      st.sampled_from(_ODD_TOKENS))
+    normal = st.sampled_from(_UNIT_NORMALS)
+    rows = []
+    for _ in range(nrows):
+        row = draw(st.lists(value, min_size=min(ncols, 3),
+                            max_size=min(ncols, 3)))
+        row += list(draw(normal)) if ncols == 6 else \
+            draw(st.lists(value, min_size=ncols - 3, max_size=ncols - 3))
+        rows.append([v if isinstance(v, str) else fmt(v) for v in row])
+    cell = st.tuples(st.integers(0, max(nrows - 1, 0)),
+                     st.integers(0, ncols - 1))
+    for fault, tokens in (("bad token", _BAD_TOKENS),
+                          ("non-finite", _NON_FINITE_TOKENS)):
+        if fault in faults and rows:
+            i, j = draw(cell)
+            rows[i][j] = draw(st.sampled_from(tokens))
+    if "ragged" in faults:
+        i = nrows - 1 - draw(st.integers(0, nrows - 1))   # late more often
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t", "\x0c"]),
+                               max_size=1))
+        sep = draw(st.sampled_from(_SEPARATORS))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    data = text.encode("utf-8")
+    if "bad utf-8" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    seg = None
+    if draw(st.booleans()):
+        count = max(nrows + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+        labels = draw(st.lists(st.integers(0, 9), min_size=count,
+                               max_size=count))
+        seg = "".join(f"{label}\n" for label in labels)
+    return data, seg
+
+
+def _load_outcome(load, path):
+    """The loaded arrays' dtypes, shapes and bytes, or the exception's type
+    and message."""
+    try:
+        cloud = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [None if a is None else (a.dtype, a.shape, a.tobytes())
+            for a in (cloud.points, cloud.normals, cloud.part_labels)]
+
+
+@pytest.fixture(scope="module")
+def parse_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse")
+
+
+@given(cloud_files())
+@settings(max_examples=300, deadline=None)
+def test_load_cloud_text_matches_the_per_token_parser(parse_dir, case):
+    data, seg = case
+    path = parse_dir / "c.txt"
+    path.write_bytes(data)
+    sidecar = parse_dir / "c.txt.seg"
+    if seg is None:
+        sidecar.unlink(missing_ok=True)
+    else:
+        sidecar.write_text(seg, encoding="utf-8")
+    assert _load_outcome(load_cloud_text, path) == \
+        _load_outcome(reference_load_cloud_text, path)
+
+
+def test_load_cloud_text_reports_the_first_error_in_file_order(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("0 0 0\n1 zero 0\n1 0\n")
+    with pytest.raises(FormatError, match=r":2: non-numeric token: .*'zero'"):
+        load_cloud_text(path)
+    path.write_text("0 0 0\n1 0\n1 zero 0\n")
+    with pytest.raises(FormatError, match=":2: ragged row"):
         load_cloud_text(path)
 
 

@@ -4,10 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from penet.errors import DimensionError, EmptyCloudError
+from penet.errors import ConfigError, DimensionError, EmptyCloudError
 from penet.models import Classifier, Segmenter
 from penet.numcore import grad_check, inference, softmax_cross_entropy
-from penet.train import save_checkpoint
+from penet.train import load_checkpoint, save_checkpoint
 
 from oracles import unpooled_pass
 
@@ -215,8 +215,52 @@ def test_non_square_k_rejected_at_construction(cls, kwargs):
     (Classifier, True, "^encoder depth must be an integer, got True$"),
     (Classifier, 2.0, "^encoder depth must be an integer, got 2.0$"),
     (Classifier, 0, "^encoder depth must be >= 1, got 0$"),
-    (Segmenter, 6, "^encoder depth must be <= 5, got 6$")])
+    (Segmenter, 6, "^encoder depth must be <= 5, got 6$"),
+    (Segmenter, None, "^encoder depth must be an integer, got None$"),
+    (Segmenter, True, "^encoder depth must be an integer, got True$"),
+    (Segmenter, 2, "^segmentation needs the 128-wide hidden layer")])
 def test_encoder_depth_is_checked_as_an_integer(model, depth, match):
     # True once built a depth-1 model whose checkpoint the loader rejected
     with pytest.raises(ValueError, match=match):
         model(3, 2, k=16, depth=depth)
+
+
+def test_numpy_integer_sizes_build_a_model_that_saves(tmp_path):
+    # once built, then failed to save: int64 is not JSON serializable
+    model = Classifier(np.int64(3), np.int32(2), k=np.int64(16),
+                       depth=np.int64(1))
+    assert all(type(v) is int for v in
+               (model.din, model.num_classes, model.k, model.depth))
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert loaded.metadata() == model.metadata()
+    for name, value in model.named_params().items():
+        assert loaded.named_params()[name].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("model, kwargs, message", [
+    (Classifier, dict(din=3, num_classes=2, k=16.0),
+     "k must be an integer, got 16.0"),
+    (Classifier, dict(din=3.0, num_classes=2, k=16),
+     "din must be an integer, got 3.0"),
+    (Classifier, dict(din=3, num_classes=True, k=16),
+     "num_classes must be an integer, got True"),
+    (Segmenter, dict(din=True, num_parts=2, k=16),
+     "din must be an integer, got True"),
+    (Segmenter, dict(din=3, num_parts=0, k=16),
+     "num_parts must be >= 1, got 0"),
+    (Classifier, dict(din=3, num_classes=2, k=0), "k must be >= 1, got 0")])
+def test_model_sizes_are_checked_as_integers(model, kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        model(depth=3, **kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("k, message", [
+    (20, "k 20 is not a perfect square"),
+    (1, "k 1 gives a 1x1 grid, too small for two 2x2 pools"),
+    (9, "k 9 gives a 3x3 grid, too small for two 2x2 pools")])
+def test_grid_errors_name_k(k, message):
+    with pytest.raises(DimensionError) as info:
+        Classifier(3, 2, k=k, depth=1)
+    assert str(info.value) == message

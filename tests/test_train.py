@@ -518,6 +518,40 @@ def test_train_segmentation_validation_needs_part_labels():
         train(clouds, _tiny_cfg(task="segment"), val_clouds=val)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_rejects_non_finite_parameters_after_the_last_step(tmp_path):
+    # one epoch: the loss before each step stays finite, the last update
+    # does not
+    with pytest.raises(ConfigError) as info:
+        train(make_clouds(4, points_each=16), _tiny_cfg(lr=1e40),
+              log_path=tmp_path / "log.csv")
+    assert str(info.value) == \
+        "training left non-finite values in encoder.layer1.w (lr 1e+40)"
+    assert not (tmp_path / "log.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_and_rejects_non_finite_arrays(tmp_path, bad):
+    model = Classifier(din=3, num_classes=2, k=16, depth=1, seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    good = path.read_bytes()
+    w = model.named_params()["encoder.layer1.w"]
+    w[1, 2] = bad
+    with pytest.raises(FormatError, match="^checkpoint array "
+                       "'encoder.layer1.w' has non-finite values$"):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == good              # refused before opening
+    # the same array, patched into the valid file's bytes
+    payload = np.ascontiguousarray(w, dtype="<f4").tobytes()
+    start = good.index(np.ascontiguousarray(
+        load_checkpoint(path).named_params()["encoder.layer1.w"],
+        dtype="<f4").tobytes())
+    path.write_bytes(good[:start] + payload + good[start + len(payload):])
+    with pytest.raises(FormatError, match="'encoder.layer1.w' has non-finite"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("task", ["classify", "segment"])
 def test_train_non_square_k_fails_before_first_epoch(task, monkeypatch):
     def no_batches(*args, **kwargs):
